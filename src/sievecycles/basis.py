@@ -157,7 +157,11 @@ def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
         alive[0::m] = b"\x00" * len(range(0, period, m))
     residues = tuple(r for r in range(period) if alive[r])
     count = len(residues)
-    assert count == basis.survivor_count
+    if count != basis.survivor_count:
+        raise AssertionError(
+            f"wheel holds {count} residues, not the {basis.survivor_count} "
+            "the product formula requires"
+        )
     return Wheel(basis=basis, period=period, residues=residues, count=count)
 
 

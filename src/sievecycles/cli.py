@@ -87,13 +87,20 @@ def _env_cap(name: str, default: int) -> int:
     if raw is None or raw == "":
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise UsageError(f"{name} must be non-negative, got {value}")
+    return value
 
 
-def _resolve_cap(flag_value, env_name: str, default: int) -> int:
-    return flag_value if flag_value is not None else _env_cap(env_name, default)
+def _resolve_cap(flag_value, flag: str, env_name: str, default: int) -> int:
+    if flag_value is None:
+        return _env_cap(env_name, default)
+    if flag_value < 0:
+        raise UsageError(f"{flag} must be non-negative, got {flag_value}")
+    return flag_value
 
 
 def _add_basis_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,13 +172,16 @@ def cmd_count(args, out) -> int:
     if args.drop is not None and method != METHOD_GENERALIZED_MEISSEL:
         raise UsageError("--drop only applies to --method generalized_meissel")
     if method == "oracle":
-        cap = _resolve_cap(args.oracle_cap, ENV_ORACLE_CAP, DEFAULT_ORACLE_CAP)
+        cap = _resolve_cap(args.oracle_cap, "--oracle-cap", ENV_ORACLE_CAP,
+                           DEFAULT_ORACLE_CAP)
         result = count_by_sieve(basis, x, cap=cap)
     elif method == "legendre":
         result = count_legendre(basis, x)
     elif method == "meissel":
         result = count_meissel(basis, x)
     elif method == METHOD_GENERALIZED_MEISSEL:
+        if args.drop is None and not basis.moduli:
+            raise UsageError("empty basis has no modulus to peel")
         drop = args.drop if args.drop is not None else basis.moduli[0]
         result = count_generalized_meissel(basis, drop, x)
     else:
@@ -206,7 +216,8 @@ def _load_wheel_json(path: str) -> Wheel:
 
 
 def cmd_list(args, out) -> int:
-    cap = _resolve_cap(args.wheel_cap, ENV_WHEEL_CAP, DEFAULT_WHEEL_CAP)
+    cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
+                       DEFAULT_WHEEL_CAP)
     if args.from_wheel is not None:
         if args.n is not None or args.moduli is not None:
             raise UsageError("--from-wheel replaces --n/--moduli")
@@ -245,7 +256,8 @@ def cmd_list(args, out) -> int:
 
 
 def cmd_wheel(args, out) -> int:
-    cap = _resolve_cap(args.wheel_cap, ENV_WHEEL_CAP, DEFAULT_WHEEL_CAP)
+    cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
+                       DEFAULT_WHEEL_CAP)
     wheel = build_wheel(_basis_from_args(args), cap=cap)
     fmt = _format_of(args)
     if fmt == "json":
@@ -276,7 +288,8 @@ def cmd_pairs(args, out, *, twins: bool = False) -> int:
     census = pair_count(basis, spec)
     centers = None
     if args.enumerate:
-        cap = _resolve_cap(args.wheel_cap, ENV_WHEEL_CAP, DEFAULT_WHEEL_CAP)
+        cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
+                           DEFAULT_WHEEL_CAP)
         centers = enumerate_pair_centers(basis, spec, cap=cap)
 
     fmt = _format_of(args)
@@ -385,7 +398,8 @@ def cmd_table(args, out) -> int:
 def cmd_phi(args, out) -> int:
     if args.x < 1:
         raise UsageError("--x must be a positive integer")
-    cap = _resolve_cap(args.factor_cap, ENV_FACTOR_CAP, DEFAULT_FACTOR_CAP)
+    cap = _resolve_cap(args.factor_cap, "--factor-cap", ENV_FACTOR_CAP,
+                       DEFAULT_FACTOR_CAP)
     value = euler_phi(args.x, cap=cap)
     divisors = distinct_prime_factors(args.x, cap=cap)
     matches = phi_identity_check(args.x, cap=cap)

@@ -6,26 +6,38 @@ f(x) = 0 for x < 1.  Boundaries are exact rationals (`fractions.Fraction`),
 never floats: the interesting boundaries are points like 52.5 or
 231060472.5 where a float's rounding could move the floor.
 
+Survivors are integers, so f(x) = f(floor(x)), and floor(floor(x) / d)
+equals floor(x / d).  Each route floors its boundary once, right after
+parsing it, and counts on plain ``int`` from there on.
+
 Five interchangeable evaluation routes are provided, each returning the
 same exact integer:
 
 * ``count_by_sieve``       -- mark multiples up to floor(x); the oracle.
 * ``count_legendre``       -- signed sum of floor(x / d) over squarefree
-                              divisor products d (inclusion-exclusion).
+                              divisor products d (inclusion-exclusion);
+                              exponential, kept apart as a cross-check.
 * ``count_meissel``        -- peel off the largest modulus m via
-                              f(x) = f'(x) - f'(x / m), recursing to the
-                              empty basis where f(x) = floor(x).
-* ``count_generalized_meissel`` -- same peel for *any* chosen modulus.
-* ``count_periodic``       -- reduce x modulo the period first; cheap for
-                              astronomically large x.
+                              f(x) = f'(x) - f'(x / m), evaluated by the
+                              phi(n, a) kernel: a survivor table for the
+                              smallest moduli and a shortcut past moduli
+                              above n.
+* ``count_generalized_meissel`` -- same peel for *any* chosen modulus,
+                              over the kernel of the remaining basis.
+* ``count_periodic``       -- reduce x modulo the period first, then the
+                              kernel; cheap for astronomically large x.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from itertools import accumulate
+from math import ceil, floor, prod
+from typing import NamedTuple
 
 from .basis import CoprimeBasis
 from .errors import CapacityError
@@ -99,32 +111,42 @@ class CountResult:
     method: str
 
 
+def _floor_boundary(x) -> int:
+    """floor(x) of a parsed boundary: the integer every route counts up to."""
+    return floor(exact_boundary(x))
+
+
+def _survivor_flags(moduli, n: int) -> bytearray:
+    """One flag per integer 0..n: 1 where no modulus divides it."""
+    alive = bytearray([1]) * (n + 1)
+    for m in moduli:
+        alive[0::m] = bytes(len(range(0, n + 1, m)))
+    return alive
+
+
 def count_by_sieve(basis: CoprimeBasis, x, *, cap: int = DEFAULT_ORACLE_CAP) -> CountResult:
     """Oracle count: strike multiples of every modulus in [1, floor(x)]."""
-    n = floor(exact_boundary(x))
+    n = _floor_boundary(x)
     if n > cap:
         raise CapacityError(f"floor(x) = {n} exceeds the oracle cap of {cap}")
     if n < 1:
         return CountResult(0, METHOD_ORACLE)
-    alive = bytearray([1]) * (n + 1)
-    for m in basis.moduli:
-        alive[0::m] = b"\x00" * len(range(0, n + 1, m))
-    return CountResult(sum(alive[1:]), METHOD_ORACLE)
+    return CountResult(_survivor_flags(basis.moduli, n).count(1, 1), METHOD_ORACLE)
 
 
-def _legendre(moduli: tuple[int, ...], x: Fraction) -> int:
-    """Signed divisor-product sum with pruning once products exceed x."""
+def _legendre(moduli: tuple[int, ...], n: int) -> int:
+    """Signed divisor-product sum with pruning once products exceed n."""
 
     def signed_tail(start: int, product: int) -> int:
-        total = floor(x / product)
+        total = n // product
         for i in range(start, len(moduli)):
             d = product * moduli[i]
-            if d > x:
-                break  # moduli ascend, so every later product exceeds x too
+            if d > n:
+                break  # moduli ascend, so every later product exceeds n too
             total -= signed_tail(i + 1, d)
         return total
 
-    if x < 1:
+    if n < 1:
         return 0
     return signed_tail(0, 1)
 
@@ -132,62 +154,119 @@ def _legendre(moduli: tuple[int, ...], x: Fraction) -> int:
 def count_legendre(basis: CoprimeBasis, x) -> CountResult:
     """Inclusion-exclusion count; exact for any basis, 2^k terms at worst.
 
-    Pruning keeps the effective term count far below 2^k for small x, but
-    a basis much beyond ~25 moduli with x near the period stops being
-    practical.
+    Deliberately kept apart from the phi kernel so that the two can check
+    each other.  Pruning keeps the effective term count far below 2^k for
+    small x, but the cost stays exponential: a basis much beyond ~25
+    moduli with x near the period stops being practical.
     """
-    return CountResult(_legendre(basis.moduli, exact_boundary(x)), METHOD_LEGENDRE)
+    return CountResult(_legendre(basis.moduli, _floor_boundary(x)), METHOD_LEGENDRE)
 
 
-def _meissel(moduli: tuple[int, ...], x: Fraction, memo: dict) -> int:
-    if x < 1:
-        return 0
-    if not moduli:
-        return floor(x)
-    key = (len(moduli), x)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    rest, m = moduli[:-1], moduli[-1]
-    value = _meissel(rest, x, memo) - _meissel(rest, x / m, memo)
-    memo[key] = value
+# The kernel resolves its smallest moduli from a cumulative survivor table
+# whose period (their product) is at most this many entries.
+_TABLE_LIMIT = 1 << 16
+
+
+class _PhiKernel(NamedTuple):
+    """Per-call state of ``_phi`` over ascending, pairwise-coprime moduli."""
+
+    moduli: tuple[int, ...]
+    c: int                      # moduli resolved by the table
+    period: int                 # P_c, the product of those c moduli
+    per_period: int             # S_c, survivors in one table period
+    cum: array                  # cum[r]: survivors in 1..r, for r < P_c
+
+
+def _phi(n: int, a: int, kernel: _PhiKernel) -> int:
+    """phi(n, a): how many of 1..n no modulus among ``moduli[:a]`` divides,
+    for a >= c.
+
+    The peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1), unrolled
+    over a, would branch twice per modulus; two devices cut it down:
+
+    * table: phi(n, c) = (n // P_c) * S_c + cum[n mod P_c] in O(1);
+    * shortcut: moduli above n strike nothing in 1..n, so phi(n, a) drops
+      at once to the prefix of moduli <= n, found by bisection.
+
+    A plain function over an explicit kernel rather than a closure that
+    calls itself: such a closure is a reference cycle, so every table
+    would wait for the cyclic garbage collector instead of being freed
+    when its call returns.
+    """
+    moduli, c, period, per_period, cum = kernel
+    if a > c and n < moduli[a - 1]:
+        a = bisect_right(moduli, n, c, a)
+    q, r = divmod(n, period)
+    value = q * per_period + cum[r]
+    for i in range(c, a):
+        d = n // moduli[i]
+        if not d:
+            break  # moduli ascend, so every later quotient is 0 too
+        if i == c or d < moduli[c]:
+            # phi(d, i) = phi(d, c): any of moduli[c:i] exceed d
+            q, r = divmod(d, period)
+            value -= q * per_period + cum[r]
+        else:
+            value -= _phi(d, i, kernel)
     return value
+
+
+def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
+    """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
+    pairwise-coprime ``moduli``, all through one kernel.
+
+    The kernel's survivor table covers the longest prefix of ``moduli``
+    whose product stays within _TABLE_LIMIT (none of them, an empty
+    table, when the smallest modulus is already too large), and stops at
+    max(ns) when that comes before the end of its period, because no
+    lookup can go further.
+    """
+    c, period = 0, 1
+    while c < len(moduli) and period * moduli[c] <= _TABLE_LIMIT:
+        period *= moduli[c]
+        c += 1
+    flags = _survivor_flags(moduli[:c], min(period - 1, max(ns, default=0)))
+    flags[0] = 0  # cum[r] counts survivors in 1..r
+    kernel = _PhiKernel(moduli, c, period, prod(m - 1 for m in moduli[:c]),
+                        array("I", accumulate(flags)))
+    return [_phi(n, len(moduli), kernel) for n in ns]
 
 
 def count_meissel(basis: CoprimeBasis, x) -> CountResult:
     """Recursive count peeling off the largest modulus at each level.
 
     Striking multiples of m removes exactly the previous-level survivors
-    that are <= x/m.  Memoized per call on (prefix length, boundary).
+    that are <= x/m, so f(x) = f'(x) - f'(x / m).  Evaluated on floor(x)
+    by the integer kernel: a survivor table resolves the smallest moduli,
+    and each peel skips straight past the moduli above its argument (see
+    ``_phi``).
     """
-    return CountResult(_meissel(basis.moduli, exact_boundary(x), {}), METHOD_MEISSEL)
+    [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])
+    return CountResult(value, METHOD_MEISSEL)
 
 
 def count_generalized_meissel(basis: CoprimeBasis, drop: int, x) -> CountResult:
     """Peel off an arbitrary chosen modulus instead of the largest.
 
     The survivor set does not depend on the order the moduli were applied,
-    so f(x) = f_without_drop(x) - f_without_drop(x / drop) for any member.
+    so f(x) = f_without_drop(x) - f_without_drop(x / drop) for any member;
+    both sides go through one kernel over the reduced basis.
     """
-    xf = exact_boundary(x)
-    reduced = basis.without(drop)  # raises if drop is absent
-    memo: dict = {}
-    value = _meissel(reduced.moduli, xf, memo) - _meissel(reduced.moduli, xf / drop, memo)
-    return CountResult(value, METHOD_GENERALIZED_MEISSEL)
+    n = _floor_boundary(x)
+    reduced = basis.without(drop).moduli  # raises if drop is absent
+    whole, struck = _floor_counts(reduced, [n, n // drop])
+    return CountResult(whole - struck, METHOD_GENERALIZED_MEISSEL)
 
 
 def count_periodic(basis: CoprimeBasis, x) -> CountResult:
-    """Reduce x into one period, then count the remainder by Legendre.
+    """Reduce x into one period, then count the remainder by the kernel.
 
     f(K * period + r) = K * survivor_count + f(r), so only r in [0, period)
     ever needs direct evaluation.  Asymptotically cheap for huge x.
     """
-    xf = exact_boundary(x)
-    period = basis.period
-    k = floor(xf / period)
-    r = xf - k * period
-    value = k * basis.survivor_count + _legendre(basis.moduli, r)
-    return CountResult(value, METHOD_PERIODIC)
+    k, r = divmod(_floor_boundary(x), basis.period)
+    [rest] = _floor_counts(basis.moduli, [r])
+    return CountResult(k * basis.survivor_count + rest, METHOD_PERIODIC)
 
 
 def count_strictly_below(basis: CoprimeBasis, x) -> int:
@@ -198,12 +277,9 @@ def count_strictly_below(basis: CoprimeBasis, x) -> int:
     f(period - x) = survivor_count - count_strictly_below(x) for
     0 < x <= period, with no off-by-one at survivor boundaries.  (The
     empty basis alone escapes: there 0 itself survives, so the reflection
-    would have to count it.)
+    would have to count it.)  Counted by plain inclusion-exclusion.
     """
-    xf = exact_boundary(x)
-    if xf.denominator == 1:
-        return _legendre(basis.moduli, xf - 1)
-    return _legendre(basis.moduli, xf)
+    return _legendre(basis.moduli, ceil(exact_boundary(x)) - 1)
 
 
 def distinct_prime_factors(x: int, *, cap: int = DEFAULT_FACTOR_CAP) -> tuple[int, ...]:

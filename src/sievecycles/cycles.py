@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import CoprimeBasis
-from .counting import count_legendre
+from .counting import _floor_counts
 
 
 @dataclass(frozen=True)
@@ -44,29 +44,38 @@ class CycleTableRow:
 def subdivision(basis: CoprimeBasis, chosen: int) -> SubdivisionReport:
     """Cut one period along multiples of period / (chosen - 1) and count.
 
-    Boundaries are evaluated exactly (no materialized wheel), and the
-    equal-count structure is asserted rather than assumed.  chosen = 2 is
-    the degenerate single interval holding the whole period.
+    Boundaries are evaluated exactly (no materialized wheel), all through
+    one counting kernel, whose survivor table every boundary shares, and
+    the equal-count structure is checked rather than assumed.
+    chosen = 2 is the degenerate single interval holding the whole period.
     """
     if chosen not in basis:
         raise ValueError(f"{chosen} is not a basis modulus")
     pieces = chosen - 1
     length = Fraction(basis.period, pieces)
     expected_step = basis.without(chosen).survivor_count
+    counts = _floor_counts(
+        basis.moduli, [k * basis.period // pieces for k in range(1, pieces + 1)])
     intervals = []
     previous = 0
-    for k in range(1, pieces + 1):
-        boundary = length * k
-        cumulative = count_legendre(basis, boundary).value
+    for k, cumulative in enumerate(counts, start=1):
+        step = cumulative - previous
+        if step != expected_step:
+            raise AssertionError(
+                f"interval {k} of modulus {chosen} holds {step} survivors, "
+                f"not {expected_step}"
+            )
         intervals.append(SubdivisionInterval(
             index=k,
-            boundary=boundary,
+            boundary=length * k,
             cumulative_count=cumulative,
-            per_interval_count=cumulative - previous,
+            per_interval_count=step,
         ))
         previous = cumulative
-    assert all(iv.per_interval_count == expected_step for iv in intervals)
-    assert previous == basis.survivor_count
+    if previous != basis.survivor_count:
+        raise AssertionError(
+            f"subdivision totals {previous}, not {basis.survivor_count}"
+        )
     return SubdivisionReport(
         basis=basis,
         chosen_modulus=chosen,
@@ -80,13 +89,12 @@ def subdivision_boundary_check(basis: CoprimeBasis) -> bool:
 
     With m the largest modulus: the survivor count up to
     period / (m - 1) must equal the reduced basis's count over its own
-    whole period (period / m).  Both sides evaluated independently.
+    whole period (period / m).  The left side is counted; the right side
+    is the reduced basis's product formula, prod(m' - 1).
     """
     m = basis.largest()
-    reduced = basis.without(m)
-    lhs = count_legendre(basis, Fraction(basis.period, m - 1)).value
-    rhs = count_legendre(reduced, Fraction(basis.period, m)).value
-    return lhs == rhs
+    [count] = _floor_counts(basis.moduli, [basis.period // (m - 1)])
+    return count == basis.without(m).survivor_count
 
 
 def cycle_table(basis: CoprimeBasis) -> tuple[CycleTableRow, ...]:

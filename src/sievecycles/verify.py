@@ -24,6 +24,7 @@ from .basis import (
     make_prime_basis,
 )
 from .counting import (
+    _survivor_flags,
     count_by_sieve,
     count_generalized_meissel,
     count_legendre,
@@ -82,6 +83,12 @@ class CheckResult:
     detail: str
 
 
+def _require(condition: bool, message: str) -> None:
+    """Fail the running check; unlike ``assert``, kept under ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _random_prime_basis(rng: random.Random, p: DepthParams, *,
                         min_size: int = 0) -> CoprimeBasis:
     primes = make_prime_basis(p.max_primes).moduli
@@ -105,14 +112,22 @@ def _random_boundary(rng: random.Random, cap: int) -> Fraction:
 # --- wheel structure ---------------------------------------------------------
 
 
+def _asymmetric_residues(basis: CoprimeBasis) -> list[int]:
+    """Every a in (0, period) whose mirror period - a differs in survivorship."""
+    period = basis.period
+    return [a for a in range(1, period)
+            if is_survivor(basis, a) != is_survivor(basis, period - a)]
+
+
 def check_wheel_periodicity(rng, p):
     for _ in range(p.samples):
         basis = _random_basis(rng, p)
         period = basis.period
         x = rng.randint(0, 4 * period)
         k = rng.randint(0, 5)
-        assert is_survivor(basis, x) == is_survivor(basis, k * period + x), \
-            f"period shift changed survivorship at x={x}, K={k}, basis={basis.moduli}"
+        _require(is_survivor(basis, x) == is_survivor(basis, k * period + x),
+                 f"period shift changed survivorship at x={x}, K={k}, "
+                 f"basis={basis.moduli}")
     return f"{p.samples} random shifts"
 
 
@@ -122,14 +137,14 @@ def check_wheel_symmetry(rng, p):
                   make_basis((20, 2783)), make_basis((4, 9, 25))):
         period = basis.period
         if period <= p.exhaustive_cap:
-            for a in range(1, period):
-                assert is_survivor(basis, a) == is_survivor(basis, period - a), \
-                    f"asymmetry at a={a}, basis={basis.moduli}"
+            broken = _asymmetric_residues(basis)
+            _require(not broken, f"asymmetry at a={broken[:3]}, basis={basis.moduli}")
             exhaustive += 1
     for _ in range(p.samples):
         basis = _random_basis(rng, p, min_size=1)
         a = rng.randint(1, basis.period - 1)
-        assert is_survivor(basis, a) == is_survivor(basis, basis.period - a)
+        _require(is_survivor(basis, a) == is_survivor(basis, basis.period - a),
+                 f"asymmetry at a={a}, basis={basis.moduli}")
     return f"{exhaustive} bases exhaustively, {p.samples} samples"
 
 
@@ -141,10 +156,10 @@ def check_wheel_count_product(rng, p):
             continue
         wheel = build_wheel(basis)
         expected = prod(m - 1 for m in basis)
-        assert wheel.count == len(wheel.residues) == expected, \
-            f"count mismatch for basis={basis.moduli}"
+        _require(wheel.count == len(wheel.residues) == expected,
+                 f"count mismatch for basis={basis.moduli}")
         checked += 1
-    assert checked > 0
+    _require(checked > 0, "no basis drawn had a period within the exhaustive cap")
     return f"{checked} wheels"
 
 
@@ -155,8 +170,8 @@ def check_wheel_one_kill_per_row(rng, p):
         for m in extras:
             for a in wheel.residues:
                 hits = [k for k in range(m) if (k * wheel.period + a) % m == 0]
-                assert hits == [killer_index(wheel, m, a)], \
-                    f"row a={a} hit at K={hits}, modulus {m}"
+                _require(hits == [killer_index(wheel, m, a)],
+                         f"row a={a} hit at K={hits}, modulus {m}")
                 cases += 1
     return f"{cases} rows scanned"
 
@@ -173,8 +188,8 @@ def check_wheel_order_independence(rng, p):
         wheel = build_wheel(make_basis(()))
         for m in order:
             wheel = extend_wheel(wheel, m)
-        assert wheel.residues == direct.residues, \
-            f"order {order} gave different residues"
+        _require(wheel.residues == direct.residues,
+                 f"order {order} gave different residues")
     return f"{rounds} shuffled rebuilds"
 
 
@@ -182,12 +197,13 @@ def check_wheel_composite_moduli(rng, p):
     basis = make_basis((20, 2783))
     period = basis.period
     count = count_legendre(basis, period).value
-    assert count == 19 * 2782 == 52858, f"composite survivor count {count}"
-    for a in range(1, period):
-        assert is_survivor(basis, a) == is_survivor(basis, period - a)
+    _require(count == 19 * 2782 == 52858, f"composite survivor count {count}")
+    broken = _asymmetric_residues(basis)
+    _require(not broken, f"composite asymmetry at a={broken[:3]}")
     for _ in range(p.samples):
         x = rng.randint(0, period - 1)
-        assert is_survivor(basis, x) == is_survivor(basis, x + period)
+        _require(is_survivor(basis, x) == is_survivor(basis, x + period),
+                 f"composite period shift changed survivorship at x={x}")
     return "count 52858; symmetry exhaustive over one period"
 
 
@@ -206,8 +222,8 @@ def check_count_method_agreement(rng, p):
         }
         for drop in basis:
             values.add(count_generalized_meissel(basis, drop, x).value)
-        assert len(values) == 1, \
-            f"methods disagree at x={x}, basis={basis.moduli}: {values}"
+        _require(len(values) == 1,
+                 f"methods disagree at x={x}, basis={basis.moduli}: {values}")
     return f"{p.samples} (basis, boundary) pairs, all routes equal"
 
 
@@ -219,7 +235,7 @@ def check_count_peel_largest(rng, p):
         rest = basis.without(m)
         lhs = count_meissel(basis, x).value
         rhs = count_meissel(rest, x).value - count_meissel(rest, x / m).value
-        assert lhs == rhs, f"peel failed at x={x}, basis={basis.moduli}"
+        _require(lhs == rhs, f"peel failed at x={x}, basis={basis.moduli}")
     return f"{p.samples} peels of the largest modulus"
 
 
@@ -230,8 +246,8 @@ def check_count_peel_any(rng, p):
         reference = count_meissel(basis, x).value
         for drop in basis:
             got = count_generalized_meissel(basis, drop, x).value
-            assert got == reference, \
-                f"dropping {drop} gave {got} != {reference} at x={x}"
+            _require(got == reference,
+                     f"dropping {drop} gave {got} != {reference} at x={x}")
     return f"{p.samples // 2} boundaries, every drop choice"
 
 
@@ -243,8 +259,11 @@ def check_count_monotone_steps(rng, p):
         for x in range(start + 1, start + 30):
             current = count_legendre(basis, x).value
             step = current - previous
-            assert step in (0, 1)
-            assert step == (1 if is_survivor(basis, x) else 0)
+            _require(step in (0, 1),
+                     f"f stepped by {step} at x={x}, basis={basis.moduli}")
+            survives = is_survivor(basis, x)
+            _require(step == (1 if survives else 0),
+                     f"f stepped by {step} at x={x}, survivor: {survives}")
             previous = current
     return f"{p.samples // 4} windows of 30 consecutive integers"
 
@@ -256,7 +275,8 @@ def check_count_period_shift(rng, p):
         k = rng.randint(0, 4)
         lhs = count_legendre(basis, k * basis.period + x).value
         rhs = k * basis.survivor_count + count_legendre(basis, x).value
-        assert lhs == rhs, f"shift failed at x={x}, K={k}, basis={basis.moduli}"
+        _require(lhs == rhs,
+                 f"shift failed at x={x}, K={k}, basis={basis.moduli}")
     return f"{p.samples} shifted boundaries"
 
 
@@ -270,7 +290,8 @@ def check_count_reflection(rng, p):
         x = Fraction(rng.randint(1, period * den), den)
         lhs = count_legendre(basis, period - x).value
         rhs = basis.survivor_count - count_strictly_below(basis, x)
-        assert lhs == rhs, f"reflection failed at x={x}, basis={basis.moduli}"
+        _require(lhs == rhs,
+                 f"reflection failed at x={x}, basis={basis.moduli}")
     return f"{p.samples} reflected boundaries (strict form)"
 
 
@@ -284,18 +305,18 @@ def check_count_pruning(rng, p):
         for r in range(len(basis) + 1):
             for subset in combinations(basis.moduli, r):
                 full += (-1) ** r * floor(x / prod(subset))
-        assert count_legendre(basis, x).value == full, \
-            f"pruned result differs from full subset sum at x={x}"
+        _require(count_legendre(basis, x).value == full,
+                 f"pruned result differs from full subset sum at x={x}")
     return f"{p.samples // 4} unpruned subset sums matched"
 
 
 def check_count_totient_bridge(rng, p):
     limit = min(2000 + p.samples * 10, 10**4)
     for x in range(1, 200):
-        assert phi_identity_check(x), f"totient bridge broke at x={x}"
+        _require(phi_identity_check(x), f"totient bridge broke at x={x}")
     for _ in range(p.samples):
         x = rng.randint(1, limit)
-        assert phi_identity_check(x), f"totient bridge broke at x={x}"
+        _require(phi_identity_check(x), f"totient bridge broke at x={x}")
     return f"x in [1, 200] exhaustively, {p.samples} samples up to {limit}"
 
 
@@ -311,16 +332,26 @@ def check_cycles_uniform_counts(rng, p):
         expected_total = basis.survivor_count
         chosen = rng.choice(basis.moduli)
         step = basis.without(chosen).survivor_count
-        for k in range(1, chosen):
-            boundary = Fraction(k * basis.period, chosen - 1)
+        boundaries = [Fraction(k * basis.period, chosen - 1) for k in range(1, chosen)]
+        # One oracle sieve up to the largest boundary within reach, read
+        # through a running count; Legendre takes the boundaries beyond it.
+        reach = max((floor(b) for b in boundaries if b <= 10**5), default=0)
+        alive = _survivor_flags(basis.moduli, reach)
+        running = counted = 0
+        for k, boundary in enumerate(boundaries, start=1):
             if boundary <= 10**5:
-                got = count_by_sieve(basis, boundary).value
+                n = floor(boundary)
+                running += alive.count(1, counted + 1, n + 1)
+                counted, got = n, running
             else:
                 got = count_legendre(basis, boundary).value
-            assert got == k * step, \
-                f"boundary K={k} of modulus {chosen} holds {got}, wanted {k * step}"
-        assert (chosen - 1) * step == expected_total
-        assert subdivision_boundary_check(basis)
+            _require(got == k * step,
+                     f"boundary K={k} of modulus {chosen} holds {got}, "
+                     f"wanted {k * step}")
+        _require((chosen - 1) * step == expected_total,
+                 f"{chosen - 1} intervals of {step} miss the total {expected_total}")
+        _require(subdivision_boundary_check(basis),
+                 f"first boundary carries no full reduced period, basis={basis.moduli}")
     return f"{rounds} (basis, modulus) subdivisions"
 
 
@@ -330,9 +361,13 @@ def check_cycles_row_consistency(rng, p):
         basis = _random_basis(rng, p)
         rows = cycle_table(basis)
         for row in rows:
-            assert row.interval_count * row.interval_size == basis.period
-            assert row.interval_count * row.survivors_per_interval == basis.survivor_count
-        assert total_intervals(basis) == sum(r.interval_count for r in rows)
+            _require(row.interval_count * row.interval_size == basis.period,
+                     f"row {row.modulus}: intervals do not tile the period")
+            _require(row.interval_count * row.survivors_per_interval
+                     == basis.survivor_count,
+                     f"row {row.modulus}: interval counts miss the survivor count")
+        _require(total_intervals(basis) == sum(r.interval_count for r in rows),
+                 "total_intervals disagrees with the table rows")
     return f"{rounds} cycle tables"
 
 
@@ -340,10 +375,13 @@ def check_cycles_degenerate_two(rng, p):
     for basis in (make_prime_basis(1), make_prime_basis(4),
                   make_basis((2, 9, 25))):
         report = subdivision(basis, 2)
-        assert len(report.intervals) == 1
+        _require(len(report.intervals) == 1,
+                 f"modulus 2 gave {len(report.intervals)} intervals")
         only = report.intervals[0]
-        assert only.boundary == basis.period
-        assert only.per_interval_count == basis.survivor_count
+        _require(only.boundary == basis.period,
+                 f"modulus 2 boundary {only.boundary} is not the period")
+        _require(only.per_interval_count == basis.survivor_count,
+                 f"modulus 2 interval holds {only.per_interval_count} survivors")
     return "3 bases, single whole-wave interval"
 
 
@@ -355,10 +393,10 @@ def check_cycles_fractional_boundaries(rng, p):
             for iv in report.intervals:
                 if iv.boundary.denominator != 1:
                     flat = count_legendre(basis, Fraction(floor(iv.boundary))).value
-                    assert iv.cumulative_count == flat, \
-                        f"survivor sits on fractional boundary {iv.boundary}"
+                    _require(iv.cumulative_count == flat,
+                             f"survivor sits on fractional boundary {iv.boundary}")
                     hits += 1
-    assert hits > 0
+    _require(hits > 0, "no subdivision boundary was fractional")
     return f"{hits} fractional boundaries, none occupied"
 
 
@@ -374,9 +412,9 @@ def check_pairs_census_exact(rng, p):
         spec = PairSpec(rng.randint(0, 50), rng.randint(0, 50))
         census = pair_count(basis, spec)
         centers = enumerate_pair_centers(basis, spec)
-        assert len(centers) == census.predicted_count, \
-            f"{len(centers)} centers vs predicted {census.predicted_count} " \
-            f"for spec={spec}, basis={basis.moduli}"
+        _require(len(centers) == census.predicted_count,
+                 f"{len(centers)} centers vs predicted {census.predicted_count} "
+                 f"for spec={spec}, basis={basis.moduli}")
     return f"{rounds} random censuses, enumeration matches prediction"
 
 
@@ -385,7 +423,7 @@ def check_pairs_twin_product(rng, p):
         basis = make_prime_basis(n)
         predicted = pair_count(basis, PairSpec(1, 1)).predicted_count
         expected = prod(m - 2 for m in basis if m != 2)
-        assert predicted == expected, f"twin product wrong for n={n}"
+        _require(predicted == expected, f"twin product wrong for n={n}")
     return f"prime bases n=1..{p.max_primes}"
 
 
@@ -396,8 +434,8 @@ def check_pairs_merged_offsets(rng, p):
         census = pair_count(basis, spec)
         for f in census.per_modulus_factors:
             merged = (spec.left_offset + spec.right_offset) % f.modulus == 0
-            assert f.factor == f.modulus - (1 if merged else 2), \
-                f"factor at modulus {f.modulus} for spec={spec}"
+            _require(f.factor == f.modulus - (1 if merged else 2),
+                     f"factor at modulus {f.modulus} for spec={spec}")
     return f"{p.samples} specs, per-modulus factors"
 
 
@@ -410,8 +448,8 @@ def check_pairs_center_shift(rng, p):
         x = rng.randint(a + 1, 5 * period)
         direct = is_survivor(basis, x - a) and is_survivor(basis, x + b)
         folded = (x - 1) % period + 1
-        assert direct == (folded in centers), \
-            f"shifted center mismatch at x={x}, spec=({a},{b})"
+        _require(direct == (folded in centers),
+                 f"shifted center mismatch at x={x}, spec=({a},{b})")
     return f"{p.samples} off-wave integers vs folded centers"
 
 
@@ -425,7 +463,7 @@ def check_pairs_center_mirror(rng, p):
         forward = set(enumerate_pair_centers(basis, PairSpec(a, b)))
         backward = set(enumerate_pair_centers(basis, PairSpec(b, a)))
         mirrored = {period - x if x < period else period for x in forward}
-        assert mirrored == backward, f"mirror failed for spec=({a},{b})"
+        _require(mirrored == backward, f"mirror failed for spec=({a},{b})")
     return "mirrored center sets coincide"
 
 
@@ -435,11 +473,13 @@ def check_pairs_center_mirror(rng, p):
 def check_ring_bijection(rng, p):
     for basis in (make_prime_basis(3), make_prime_basis(4), make_basis((4, 9, 25))):
         for x in range(basis.period):
-            assert reconstruct(decompose(basis, x)) == x
+            _require(reconstruct(decompose(basis, x)) == x,
+                     f"round trip failed at x={x}, basis={basis.moduli}")
     basis = make_prime_basis(p.max_primes)
     for _ in range(p.samples):
         x = rng.randint(0, basis.period - 1)
-        assert reconstruct(decompose(basis, x)) == x
+        _require(reconstruct(decompose(basis, x)) == x,
+                 f"round trip failed at x={x}, basis={basis.moduli}")
     return "3 bases exhaustively, large basis sampled"
 
 
@@ -447,17 +487,20 @@ def check_ring_survivor_vs_unit(rng, p):
     prime = make_prime_basis(4)
     for x in range(prime.period):
         v = decompose(prime, x)
-        assert is_survivor_vector(v) == is_unit_vector(v) == is_survivor(prime, x)
+        _require(is_survivor_vector(v) == is_unit_vector(v) == is_survivor(prime, x),
+                 f"survivor and unit notions split at x={x} over primes")
     composite = make_basis((4, 9, 25))
     split = 0
     for x in range(composite.period):
         v = decompose(composite, x)
-        assert is_survivor_vector(v) == is_survivor(composite, x)
+        _require(is_survivor_vector(v) == is_survivor(composite, x),
+                 f"vector survivorship differs at x={x}, composite basis")
         if is_unit_vector(v):
-            assert is_survivor_vector(v)
+            _require(is_survivor_vector(v),
+                     f"unit vector at x={x} is not a survivor vector")
         elif is_survivor_vector(v):
             split += 1
-    assert split > 0, "expected survivor non-units over composite moduli"
+    _require(split > 0, "expected survivor non-units over composite moduli")
     return f"prime basis: notions coincide; composite: {split} survivor non-units"
 
 
@@ -465,23 +508,28 @@ def check_ring_group_axioms(rng, p):
     basis = make_prime_basis(3)
     units = [decompose(basis, x) for x in range(basis.period)
              if is_survivor(basis, x)]
-    assert len(units) == basis.survivor_count
+    _require(len(units) == basis.survivor_count,
+             f"{len(units)} units, survivor count {basis.survivor_count}")
     one = identity(basis)
     for u in units:
-        assert multiply(u, one) == u
-        assert multiply(u, inverse(u)) == one
+        _require(multiply(u, one) == u, f"{u.entries} times the identity changed")
+        _require(multiply(u, inverse(u)) == one,
+                 f"{u.entries} times its inverse is not the identity")
         for v in units:
             w = multiply(u, v)
-            assert is_unit_vector(w)
-            assert w == multiply(v, u)
+            _require(is_unit_vector(w), f"{u.entries} * {v.entries} is not a unit")
+            _require(w == multiply(v, u), f"{u.entries} * {v.entries} does not commute")
             for t in units:
-                assert multiply(multiply(u, v), t) == multiply(u, multiply(v, t))
+                _require(multiply(multiply(u, v), t) == multiply(u, multiply(v, t)),
+                         f"product of {u.entries}, {v.entries}, {t.entries} "
+                         "is not associative")
     big = make_prime_basis(p.max_primes)
     for _ in range(p.samples):
         u = decompose(big, rng.randint(0, big.period - 1))
         if not is_unit_vector(u):
             continue
-        assert multiply(u, inverse(u)) == identity(big)
+        _require(multiply(u, inverse(u)) == identity(big),
+                 f"{u.entries} times its inverse is not the identity")
     return "full axiom table on one small basis; sampled inverses on a large one"
 
 
@@ -490,9 +538,9 @@ def check_ring_product_map(rng, p):
         basis = _random_basis(rng, p)
         period = basis.period
         x, y = rng.randint(0, period - 1), rng.randint(0, period - 1)
-        assert decompose(basis, x * y % period) == \
-            multiply(decompose(basis, x), decompose(basis, y)), \
-            f"product map failed at x={x}, y={y}, basis={basis.moduli}"
+        _require(decompose(basis, x * y % period) == \
+            multiply(decompose(basis, x), decompose(basis, y)),
+                 f"product map failed at x={x}, y={y}, basis={basis.moduli}")
     return f"{p.samples} random products"
 
 

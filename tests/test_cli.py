@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from sievecycles import cli
 from sievecycles.verify import CheckResult
 
@@ -65,6 +67,12 @@ class TestCount:
                              "--method", "generalized_meissel", "--drop", "5")
         assert code == 0
         assert "value: 12" in text
+
+    def test_generalized_on_empty_basis_is_usage_error(self, capsys):
+        code, text = run_cli("count", "--n", "0", "--x", "5",
+                             "--method", "generalized_meissel")
+        assert (code, text) == (1, "")
+        assert "empty basis has no modulus to peel" in capsys.readouterr().err
 
     def test_drop_without_generalized_is_usage_error(self):
         code, _ = run_cli("count", "--n", "4", "--x", "10", "--drop", "5")
@@ -287,3 +295,32 @@ class TestUsage:
 
     def test_non_coprime_moduli(self):
         assert run_cli("wheel", "--moduli", "4,6")[0] == 1
+
+
+class TestNegativeCaps:
+    @pytest.mark.parametrize("argv", [
+        ("wheel", "--n", "3", "--wheel-cap", "-5"),
+        ("list", "--n", "3", "--wheel-cap", "-1"),
+        ("twins", "--n", "3", "--enumerate", "--wheel-cap", "-1"),
+        ("count", "--n", "3", "--x", "5", "--method", "oracle", "--oracle-cap", "-1"),
+        ("phi", "--x", "10", "--factor-cap", "-2"),
+    ])
+    def test_flag_is_usage_error(self, argv, capsys):
+        assert run_cli(*argv) == (1, "")
+        assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, argv", [
+        ("SIEVECYCLES_WHEEL_CAP", ("wheel", "--n", "3")),
+        ("SIEVECYCLES_ORACLE_CAP",
+         ("count", "--n", "3", "--x", "5", "--method", "oracle")),
+        ("SIEVECYCLES_FACTOR_CAP", ("phi", "--x", "10")),
+    ])
+    def test_env_is_usage_error(self, env, argv, monkeypatch, capsys):
+        monkeypatch.setenv(env, "-3")
+        assert run_cli(*argv) == (1, "")
+        assert f"{env} must be non-negative" in capsys.readouterr().err
+
+    def test_zero_cap_still_applies(self, capsys):
+        code, _ = run_cli("wheel", "--n", "3", "--wheel-cap", "0")
+        assert code == 2
+        assert "cap" in capsys.readouterr().err

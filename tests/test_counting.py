@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, prod
 
 import pytest
-from conftest import oracle_count
+from conftest import oracle_count, oracle_survives
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +20,7 @@ from sievecycles import (
     make_basis,
     make_prime_basis,
     phi_identity_check,
+    subdivision,
 )
 
 B3 = make_prime_basis(3)
@@ -107,6 +108,14 @@ class TestMeissel:
     def test_three_intervals(self):
         assert count_meissel(B4, 105).value == 24
 
+    def test_more_moduli_than_the_recursion_limit(self):
+        # Moduli above x strike nothing, so the peel never descends through
+        # them one frame each.
+        basis = make_prime_basis(1200)
+        assert count_meissel(basis, 10**5).value == count_by_sieve(basis, 10**5).value
+        assert count_generalized_meissel(basis, 2, 10**5).value == \
+            count_by_sieve(basis, 10**5).value
+
     def test_recursion_identity(self):
         x = Fraction(421, 3)
         rest = B4.without(7)
@@ -193,6 +202,117 @@ def test_period_shift_law(case, k):
     basis = make_basis(moduli) if moduli else make_prime_basis(0)
     assert count_legendre(basis, k * basis.period + x).value == \
         k * basis.survivor_count + count_legendre(basis, x).value
+
+
+# Bases for the integer phi kernel behind meissel, generalized_meissel,
+# periodic_reduction and subdivision.  Its survivor table takes the
+# smallest moduli while their product stays within 2^16: all of the first
+# line's bases, a prefix of the second's, and nothing of (65537, 65539).
+KERNEL_BASES = [
+    (2,), (2, 3, 5, 7), (2, 3, 5, 7, 11, 13), (4, 9, 25, 7), (20, 2783),
+    (2, 3, 5, 7, 11, 13, 17, 19), (3, 7, 11, 13, 23), (5, 11, 17, 29, 31, 37),
+    (4, 9, 25, 7, 11, 13, 17), (2, 3, 65537),
+    (65537, 65539),
+]
+ORACLE_REACH = 2 * 10**4
+
+
+def survivors_between(moduli, lo: int, hi: int) -> int:
+    """Survivors a with lo < a <= hi, by trial division."""
+    return sum(1 for a in range(lo + 1, hi + 1) if oracle_survives(moduli, a))
+
+
+def count_near_subdivision(moduli, m: int, k: int, y) -> int:
+    """f(y) for y near the boundary B = k * period / (m - 1).
+
+    f(B) is k whole intervals of prod(m' - 1, m' != m) survivors; trial
+    division over the few integers between B and y does the rest.
+    """
+    lo, hi = floor(Fraction(k * prod(moduli), m - 1)), floor(y)
+    base = k * prod(v - 1 for v in moduli if v != m)
+    return base + survivors_between(moduli, lo, hi) - survivors_between(moduli, hi, lo)
+
+
+@st.composite
+def kernel_case(draw):
+    """(moduli, m, k, y, waves): x = waves * period + y, y within a few
+    units of k * period / (m - 1); k = 0 gives 0 <= y <= 3."""
+    moduli = draw(st.sampled_from(KERNEL_BASES))
+    m = draw(st.sampled_from(moduli))
+    k = draw(st.integers(0, m - 1))
+    den = draw(st.sampled_from([1, 1, 2, 3, 7, 10]))
+    delta = Fraction(draw(st.integers(-3 * den, 3 * den)), den)
+    y = max(Fraction(0), Fraction(k * prod(moduli), m - 1) + delta)
+    waves = draw(st.sampled_from([0, 0, 0, 1, 10**6, 10**30]))
+    return moduli, m, k, y, waves
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_case())
+def test_kernel_routes_match_oracle_and_legendre(case):
+    moduli, m, k, y, waves = case
+    basis = make_basis(moduli)
+    x = waves * basis.period + y
+    expected = waves * basis.survivor_count + count_near_subdivision(moduli, m, k, y)
+    if x <= ORACLE_REACH:
+        assert oracle_count(moduli, x) == expected
+    assert count_legendre(basis, x).value == expected
+    assert count_meissel(basis, x).value == expected
+    assert count_periodic(basis, x).value == expected
+    for drop in moduli:
+        assert count_generalized_meissel(basis, drop, x).value == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([
+    ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), 13),
+    ((4, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37), 13),
+    ((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43), 13),
+    (make_prime_basis(60).moduli, 6),
+]), st.integers(0, 10**6), st.integers(3, 13), st.sampled_from([1, 2, 7]))
+def test_kernel_matches_legendre_anywhere(case, num, digits, den):
+    # x anywhere up to 10^13 on a log scale, for twelve or more moduli:
+    # where x is far below the period most peels take the shortcut past
+    # moduli above their argument.
+    moduli, max_digits = case
+    basis = make_basis(moduli)
+    x = Fraction(num * 10**min(digits, max_digits) // 10**6, den)
+    expected = count_legendre(basis, x).value
+    if x <= 10**6:
+        assert count_by_sieve(basis, x).value == expected
+    assert count_meissel(basis, x).value == expected
+    assert count_periodic(basis, x).value == expected
+    drop = moduli[num % len(moduli)]
+    assert count_generalized_meissel(basis, drop, x).value == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_subdivision_matches_oracle_and_legendre(data):
+    # Moduli above 2^16 would mean 65536 intervals per example.
+    moduli = data.draw(st.sampled_from([b for b in KERNEL_BASES if max(b) < 2**16]))
+    m = data.draw(st.sampled_from(moduli))
+    basis = make_basis(moduli)
+    report = subdivision(basis, m)
+    assert len(report.intervals) == m - 1
+    if m <= 64:
+        checked = report.intervals
+    else:
+        ks = data.draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=8))
+        checked = [report.intervals[k - 1] for k in ks]
+    for iv in checked:
+        assert iv.boundary == Fraction(iv.index * basis.period, m - 1)
+        assert iv.cumulative_count == count_legendre(basis, iv.boundary).value
+        if iv.boundary <= ORACLE_REACH:
+            assert iv.cumulative_count == oracle_count(moduli, iv.boundary)
+
+
+@pytest.mark.parametrize("m, k", [(97, 32), (13, 5)])
+def test_meissel_closed_form_at_25_primes(m, k):
+    # Out of reach of plain inclusion-exclusion (about 2^25 terms).
+    basis = make_prime_basis(25)
+    expected = k * prod(v - 1 for v in basis if v != m)
+    assert count_meissel(basis, Fraction(k * basis.period, m - 1)).value == expected
 
 
 class TestReflection:
