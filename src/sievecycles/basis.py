@@ -38,6 +38,15 @@ class CoprimeBasis:
         for i in range(1, len(self.moduli)):
             if self.moduli[i - 1] >= self.moduli[i]:
                 raise ValueError("moduli must be strictly increasing")
+        # One gcd per modulus against the product of those before it; only
+        # a failure pays for the pairwise search that names the culprits.
+        product = 1
+        for m in self.moduli:
+            if gcd(product, m) > 1:
+                self._raise_first_shared_factor()
+            product *= m
+
+    def _raise_first_shared_factor(self) -> None:
         for i, a in enumerate(self.moduli):
             for b in self.moduli[i + 1 :]:
                 g = gcd(a, b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 
@@ -33,6 +34,7 @@ from .counting import (
     METHOD_GENERALIZED_MEISSEL,
     METHOD_LEGENDRE,
     METHODS,
+    _survivor_flags,
     count_by_sieve,
     count_generalized_meissel,
     count_legendre,
@@ -203,16 +205,46 @@ def cmd_count(args, out) -> int:
 def _load_wheel_json(path: str) -> Wheel:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not look like wheel JSON: not an object")
     body = data.get("result") if isinstance(data.get("result"), dict) else data
     try:
         moduli = data.get("basis") if "basis" in data else body["basis"]
         residues = tuple(body["residues"])
-        period = int(body["period"])
+        period = body["period"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} does not look like wheel JSON: {exc}") from None
     basis = make_basis(moduli) if moduli else CoprimeBasis(())
+    problem = _wheel_problem(basis, period, residues)
+    if problem is not None:
+        raise ValueError(f"{path} is not a valid wheel: {problem}")
     return Wheel(basis=basis, period=period, residues=residues,
                  count=len(residues))
+
+
+def _wheel_problem(basis: CoprimeBasis, period, residues: tuple) -> str | None:
+    """What keeps ``residues`` from being exactly the survivors of ``basis``
+    in [0, period), or None.
+
+    Strictly increasing survivors in [0, period), as many as the product
+    formula gives, can only be all of them.
+    """
+    if type(period) is not int or period != basis.period:
+        return f"period {period!r} is not the basis product {basis.period}"
+    if len(residues) != basis.survivor_count:
+        return (f"{len(residues)} residues, not the {basis.survivor_count} "
+                "survivors of one period")
+    if any(type(r) is not int for r in residues):
+        return "residues must be integers"
+    if not all(map(operator.lt, residues, residues[1:])):
+        return "residues must be strictly increasing"
+    if residues[0] < 0 or residues[-1] >= period:
+        return f"residues must lie in [0, {period})"
+    alive = _survivor_flags(basis.moduli, period - 1)
+    struck = next((r for r in residues if not alive[r]), None)
+    if struck is not None:
+        return f"residue {struck} is divisible by a basis modulus"
+    return None
 
 
 def cmd_list(args, out) -> int:

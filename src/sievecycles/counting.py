@@ -20,8 +20,9 @@ same exact integer:
 * ``count_meissel``        -- peel off the largest modulus m via
                               f(x) = f'(x) - f'(x / m), evaluated by the
                               phi(n, a) kernel: a survivor table for the
-                              smallest moduli and a shortcut past moduli
-                              above n.
+                              smallest moduli, sized to the work it saves
+                              up to a ceiling of 2^16 entries, and a
+                              shortcut past moduli above n.
 * ``count_generalized_meissel`` -- same peel for *any* chosen modulus,
                               over the kernel of the remaining basis.
 * ``count_periodic``       -- reduce x modulo the period first, then the
@@ -163,8 +164,18 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
 
 
 # The kernel resolves its smallest moduli from a cumulative survivor table
-# whose period (their product) is at most this many entries.
+# of at most this many entries (the product of those moduli).
 _TABLE_LIMIT = 1 << 16
+
+# Below that ceiling the table is sized to the work it saves.  Taking one
+# more modulus into the table multiplies its entries by that modulus and
+# halves the leaves of the peel over the moduli left outside it.  In
+# CPython 3.11 on x86-64 one table entry (marked by ``_survivor_flags``,
+# summed by ``array("I", accumulate(...))``) costs 43-51 ns, and one leaf
+# of ``_phi`` (a quotient, a table lookup and the loop step around them)
+# 700-830 ns: a leaf is worth about 16 entries, so a modulus pays for
+# itself while its table has at most 16 entries per leaf it saves.
+_ENTRIES_PER_LEAF = 16
 
 
 class _PhiKernel(NamedTuple):
@@ -211,25 +222,54 @@ def _phi(n: int, a: int, kernel: _PhiKernel) -> int:
     return value
 
 
-def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
-    """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
-    pairwise-coprime ``moduli``, all through one kernel.
+def _table_prefix(moduli: tuple[int, ...], ns: list[int]) -> int:
+    """How many of the smallest ``moduli`` the kernel's table covers when
+    it counts every n in ``ns``.
 
-    The kernel's survivor table covers the longest prefix of ``moduli``
-    whose product stays within _TABLE_LIMIT (none of them, an empty
-    table, when the smallest modulus is already too large), and stops at
-    max(ns) when that comes before the end of its period, because no
-    lookup can go further.
+    Only the k moduli <= max(ns) can strike anything.  With c of them in
+    the table, each n walks a peel of about 2^(k - c) leaves, so taking
+    modulus c in as well saves about len(ns) * 2^(k - c - 1) leaves and
+    costs a table of min(P_{c+1}, max(ns) + 1) entries, P_{c+1} being the
+    product of moduli[:c + 1].  The table takes it while those entries
+    stay within _TABLE_LIMIT and within _ENTRIES_PER_LEAF per leaf saved.
     """
+    top = max(ns, default=0)
+    k = bisect_right(moduli, top)
     c, period = 0, 1
-    while c < len(moduli) and period * moduli[c] <= _TABLE_LIMIT:
+    while c < k:
         period *= moduli[c]
+        saved = len(ns) << (k - c - 1)
+        if period > _TABLE_LIMIT or min(period, top + 1) > _ENTRIES_PER_LEAF * saved:
+            break
         c += 1
+    return c
+
+
+def _table_counts(moduli: tuple[int, ...], ns: list[int], c: int) -> list[int]:
+    """``_floor_counts`` with the kernel's table over ``moduli[:c]``.
+
+    The table stops at max(ns) when that comes before the end of its
+    period, because no lookup can go further.  Any c from 0 (an empty
+    table) to len(moduli) gives the same counts; only the work differs.
+    """
+    period = prod(moduli[:c])
     flags = _survivor_flags(moduli[:c], min(period - 1, max(ns, default=0)))
     flags[0] = 0  # cum[r] counts survivors in 1..r
     kernel = _PhiKernel(moduli, c, period, prod(m - 1 for m in moduli[:c]),
                         array("I", accumulate(flags)))
     return [_phi(n, len(moduli), kernel) for n in ns]
+
+
+def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
+    """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
+    pairwise-coprime ``moduli``, all through one kernel.
+
+    The kernel's survivor table is sized to the work it saves (see
+    ``_table_prefix``), with _TABLE_LIMIT entries as its ceiling: a query
+    of a few dozen leaves builds a table of a few hundred entries, and a
+    deep one, such as 25 primes near P/3, the largest the ceiling allows.
+    """
+    return _table_counts(moduli, ns, _table_prefix(moduli, ns))
 
 
 def count_meissel(basis: CoprimeBasis, x) -> CountResult:

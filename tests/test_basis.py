@@ -60,6 +60,16 @@ class TestMakeBasis:
         with pytest.raises(ValueError, match=r"4 and 6.*gcd = 2"):
             make_basis([4, 6])
 
+    @pytest.mark.parametrize("extra, pair", [
+        (2 * 1987, "2 and 3974"), (1993 * 1997, "1993 and 3980021"), (4, "2 and 4"),
+    ])
+    def test_shared_factor_named_in_a_large_basis(self, extra, pair):
+        # The running product finds the clash; the error names the first
+        # offending pair in (smaller, larger) order, with its gcd.
+        primes = make_prime_basis(302).moduli  # 2 .. 1997
+        with pytest.raises(ValueError, match=rf"^moduli {pair} are not coprime \(gcd = \d+\)$"):
+            make_basis(primes + (extra,))
+
     def test_small_primes(self):
         assert make_basis([5, 2, 3]).period == 30
 

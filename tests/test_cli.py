@@ -133,6 +133,44 @@ class TestWheelAndList:
         code, _ = run_cli("list", "--n", "2", "--from-wheel", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("period, residues, problem", [
+        (30, [1, 2, 3, 4], "4 residues, not the 8"),
+        (0, [1, 7, 11, 13, 17, 19, 23, 29], "period 0 is not the basis product 30"),
+        (30.0, [1, 7, 11, 13, 17, 19, 23, 29], "period 30.0"),
+        (60, [1, 7, 11, 13, 17, 19, 23, 29], "period 60"),
+        (30, [1, 7, 11, 13, 17, 19, 23, 25], "residue 25 is divisible"),
+        (30, [1, 7, 11, 13, 19, 17, 23, 29], "strictly increasing"),
+        (30, [1, 7, 11, 13, 13, 19, 23, 29], "strictly increasing"),
+        (30, [-1, 7, 11, 13, 17, 19, 23, 29], "in [0, 30)"),
+        (30, [1, 7, 11, 13, 17, 19, 23, 31], "in [0, 30)"),
+        (30, [1, 7, 11, 13, 17, 19, 23, 29.0], "must be integers"),
+    ])
+    def test_from_wheel_rejects_a_wrong_wheel(self, tmp_path, capsys,
+                                              period, residues, problem):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"basis": [2, 3, 5], "result": {
+            "period": period, "count": len(residues), "residues": residues}}))
+        assert run_cli("list", "--from-wheel", str(path), "--lo", "1",
+                       "--hi", "40") == (1, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and problem in err
+
+    def test_from_wheel_rejects_json_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text("[1, 7, 11, 13]")
+        assert run_cli("list", "--from-wheel", str(path)) == (1, "")
+        assert "does not look like wheel JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--moduli", "4,9,25"), ("--n", "0")])
+    def test_from_wheel_accepts_composite_and_empty_wheels(self, tmp_path, argv):
+        # Composite moduli leave survivors that share a factor with the
+        # period (2 survives 4 and 9): survivorship, not coprimality.
+        path = tmp_path / "w.json"
+        path.write_text(run_cli("wheel", *argv, "--json")[1])
+        _, direct = run_cli("list", *argv, "--lo", "0", "--hi", "1000")
+        assert run_cli("list", "--from-wheel", str(path), "--lo", "0",
+                       "--hi", "1000") == (0, direct)
+
     def test_list_json_streams_valid_document(self):
         code, text = run_cli("list", "--n", "3", "--lo", "1", "--hi", "30",
                              "--json")

@@ -22,6 +22,7 @@ from sievecycles import (
     phi_identity_check,
     subdivision,
 )
+from sievecycles.counting import _TABLE_LIMIT, _table_counts, _table_prefix
 
 B3 = make_prime_basis(3)
 B4 = make_prime_basis(4)
@@ -205,7 +206,7 @@ def test_period_shift_law(case, k):
 
 
 # Bases for the integer phi kernel behind meissel, generalized_meissel,
-# periodic_reduction and subdivision.  Its survivor table takes the
+# periodic_reduction and subdivision.  Its survivor table may take the
 # smallest moduli while their product stays within 2^16: all of the first
 # line's bases, a prefix of the second's, and nothing of (65537, 65539).
 KERNEL_BASES = [
@@ -305,6 +306,73 @@ def test_subdivision_matches_oracle_and_legendre(data):
         assert iv.cumulative_count == count_legendre(basis, iv.boundary).value
         if iv.boundary <= ORACLE_REACH:
             assert iv.cumulative_count == oracle_count(moduli, iv.boundary)
+
+
+def table_sizes(moduli):
+    """Every table prefix c the ceiling allows: 0 up to the longest prefix
+    of ``moduli`` whose product is at most _TABLE_LIMIT."""
+    c = 0
+    while c < len(moduli) and prod(moduli[:c + 1]) <= _TABLE_LIMIT:
+        c += 1
+    return range(c + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_case(), st.integers(1, 10**6))
+def test_every_table_size_matches_oracle_and_legendre(case, drop_seed):
+    # The counts of one kernel may not depend on how many moduli its table
+    # resolves; a second, smaller n in the same call reads the same table.
+    moduli, m, k, y, waves = case
+    basis = make_basis(moduli)
+    x = waves * basis.period + y
+    expected = waves * basis.survivor_count + count_near_subdivision(moduli, m, k, y)
+    if x <= ORACLE_REACH:
+        assert oracle_count(moduli, x) == expected
+    assert count_legendre(basis, x).value == expected
+    n = floor(x)
+    d = moduli[drop_seed % len(moduli)]
+    expected_struck = count_legendre(basis, n // d).value
+    for c in table_sizes(moduli):
+        assert _table_counts(moduli, [n, n // d], c) == [expected, expected_struck]
+
+
+def table_period(moduli, ns):
+    return prod(moduli[:_table_prefix(moduli, ns)])
+
+
+class TestTableRule:
+    """The table is sized to the leaves it saves, up to _TABLE_LIMIT."""
+
+    def test_shallow_query_builds_a_smaller_table(self):
+        # 12 primes near P/2 walk a peel of a few hundred leaves: the
+        # 30030-entry table the ceiling allows would cost more than it saves.
+        moduli = make_prime_basis(12).moduli
+        assert 1 < table_period(moduli, [prod(moduli) // 2]) < 30030
+
+    def test_deep_query_keeps_the_full_table(self):
+        moduli = make_prime_basis(25).moduli
+        assert table_period(moduli, [prod(moduli) // 3]) == 30030
+
+    def test_far_below_the_period_keeps_the_full_table(self):
+        assert table_period(make_prime_basis(100).moduli, [10**9]) == 30030
+
+    def test_more_boundaries_justify_a_larger_table(self):
+        moduli = (4, 7, 9, 11, 13, 17, 19, 23, 29, 31)
+        boundaries = [k * prod(moduli) // 30 for k in range(1, 31)]
+        assert table_period(moduli, boundaries) > table_period(moduli, boundaries[-1:])
+
+    @pytest.mark.parametrize("moduli, ns", [
+        (make_prime_basis(40).moduli, [10**60]),
+        ((65537, 65539), [10**12]),
+        ((2, 3, 65537), [10**12]),
+        (make_prime_basis(12).moduli, [0]),
+        (make_prime_basis(12).moduli, []),
+        (make_prime_basis(12).moduli, [30]),
+    ])
+    def test_stays_within_the_ceiling_and_below_max_n(self, moduli, ns):
+        c = _table_prefix(moduli, ns)
+        assert prod(moduli[:c]) <= _TABLE_LIMIT
+        assert all(m <= max(ns, default=0) for m in moduli[:c])
 
 
 @pytest.mark.parametrize("m, k", [(97, 32), (13, 5)])
