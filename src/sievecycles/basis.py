@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd, isqrt, prod
 from typing import Iterator
 
@@ -150,6 +151,14 @@ def is_survivor(basis: CoprimeBasis, x: int) -> bool:
     return all(x % m != 0 for m in basis.moduli)
 
 
+def survivor_flags(moduli, n: int) -> bytearray:
+    """One flag per integer 0..n: 1 where no modulus divides it."""
+    alive = bytearray([1]) * (n + 1)
+    for m in moduli:
+        alive[0::m] = bytes(len(range(0, n + 1, m)))
+    return alive
+
+
 def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     """Materialize one period by striking multiples of every modulus.
 
@@ -161,10 +170,7 @@ def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
         raise CapacityError(
             f"period {period} exceeds the wheel cap of {cap} residue candidates"
         )
-    alive = bytearray([1]) * period
-    for m in basis.moduli:
-        alive[0::m] = b"\x00" * len(range(0, period, m))
-    residues = tuple(r for r in range(period) if alive[r])
+    residues = tuple(compress(range(period), survivor_flags(basis.moduli, period - 1)))
     count = len(residues)
     if count != basis.survivor_count:
         raise AssertionError(

@@ -4,7 +4,8 @@ Subcommands mirror the library: exact counts at rational boundaries,
 wheel and survivor enumeration, pair censuses, cycle subdivision reports,
 the totient bridge, residue-vector arithmetic, and the self-verification
 suite.  Output is deterministic (no timestamps) in plain, CSV, or JSON
-form.
+form.  Each ``cmd_*`` returns its findings once, as a ``Report``, and
+``_render`` alone writes them in the chosen format.
 
 Exit codes: 0 success, 1 usage or parse error, 2 capacity cap exceeded,
 3 verification failure.
@@ -18,6 +19,9 @@ import json
 import operator
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain
 
 from .basis import (
     DEFAULT_WHEEL_CAP,
@@ -27,6 +31,7 @@ from .basis import (
     iter_survivors,
     make_basis,
     make_prime_basis,
+    survivor_flags,
 )
 from .counting import (
     DEFAULT_FACTOR_CAP,
@@ -34,7 +39,6 @@ from .counting import (
     METHOD_GENERALIZED_MEISSEL,
     METHOD_LEGENDRE,
     METHODS,
-    _survivor_flags,
     count_by_sieve,
     count_generalized_meissel,
     count_legendre,
@@ -139,35 +143,84 @@ def _basis_from_args(args) -> CoprimeBasis:
     raise UsageError("a basis is required: pass --n or --moduli")
 
 
-def _format_of(args) -> str:
-    return "json" if args.json else args.format
+# --- rendering ---------------------------------------------------------------
 
 
-def _envelope(query: dict, basis, method, result) -> str:
-    document = {
-        "query": query,
-        "basis": list(basis.moduli) if basis is not None else None,
-        "method": method,
-        "result": result,
-    }
-    return json.dumps(document, indent=2)
+@dataclass(frozen=True)
+class Report:
+    """What one subcommand found, once, for every output format.
+
+    ``result`` is the JSON value; an iterator is streamed.  ``rows`` (under
+    ``header``, in csv) and the plain ``lines`` may be lazy too, so a long
+    ``list`` range is never built and a large wheel never held as text.
+    """
+
+    query: dict
+    moduli: tuple[int, ...] | None   # the JSON "basis"
+    result: object
+    header: list[str]
+    rows: Iterable[list]
+    lines: Iterable[str]
+    method: str | None = None
+    code: int = 0
 
 
-def _write_csv(out, header, rows, no_header: bool) -> None:
-    writer = csv.writer(out)
-    if not no_header:
-        writer.writerow(header)
-    writer.writerows(rows)
+def _cell(value) -> str:
+    """One value as plain text and csv show it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
 
 
-def _plain_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _keyed(fields: dict) -> list[str]:
+    return [f"{key}: {_cell(value)}" for key, value in fields.items()]
+
+
+def _aligned(rows: list[list]) -> list[str]:
+    cells = [[_cell(value) for value in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+            for row in cells]
+
+
+def _record(query: dict, basis: CoprimeBasis, fields: dict, *, result=None,
+            method=None) -> Report:
+    """A report whose csv is one row of ``fields`` and whose plain text is
+    one ``key: value`` line per field."""
+    return Report(query, basis.moduli, fields if result is None else result,
+                  list(fields), [list(fields.values())], _keyed(fields), method)
+
+
+def _render(report: Report, args, out) -> int:
+    """Write ``report`` in the requested format; return its exit code."""
+    fmt = "json" if args.json else args.format
+    if fmt == "json":
+        head = {"query": report.query, "basis": report.moduli, "method": report.method}
+        if isinstance(report.result, Iterator):
+            out.write("{\n" + "".join(f'  "{key}": {json.dumps(value)},\n'
+                                      for key, value in head.items()) + '  "result": [')
+            for i, item in enumerate(report.result):
+                out.write((", " if i else "") + json.dumps(item))
+            out.write("]\n}\n")
+        else:
+            out.write(json.dumps({**head, "result": report.result}, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(out)
+        if not args.no_header:
+            writer.writerow(report.header)
+        writer.writerows([_cell(value) for value in row] for row in report.rows)
+    else:
+        for line in report.lines:
+            out.write(line + "\n")
+    return report.code
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_count(args, out) -> int:
+def cmd_count(args) -> Report:
     basis = _basis_from_args(args)
     x = exact_boundary(args.x)
     method = args.method
@@ -188,18 +241,9 @@ def cmd_count(args, out) -> int:
         result = count_generalized_meissel(basis, drop, x)
     else:
         result = count_periodic(basis, x)
-
-    fmt = _format_of(args)
-    query = {"command": "count", "x": str(x), "method": method}
-    if fmt == "json":
-        out.write(_envelope(query, basis, result.method, result.value) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, ["value", "method"], [[result.value, result.method]],
-                   args.no_header)
-    else:
-        out.write(f"value: {result.value}\n")
-        out.write(f"method: {result.method}\n")
-    return 0
+    return _record({"command": "count", "x": str(x), "method": method}, basis,
+                   {"value": result.value, "method": result.method},
+                   result=result.value, method=result.method)
 
 
 def _load_wheel_json(path: str) -> Wheel:
@@ -240,14 +284,14 @@ def _wheel_problem(basis: CoprimeBasis, period, residues: tuple) -> str | None:
         return "residues must be strictly increasing"
     if residues[0] < 0 or residues[-1] >= period:
         return f"residues must lie in [0, {period})"
-    alive = _survivor_flags(basis.moduli, period - 1)
+    alive = survivor_flags(basis.moduli, period - 1)
     struck = next((r for r in residues if not alive[r]), None)
     if struck is not None:
         return f"residue {struck} is divisible by a basis modulus"
     return None
 
 
-def cmd_list(args, out) -> int:
+def cmd_list(args) -> Report:
     cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
                        DEFAULT_WHEEL_CAP)
     if args.from_wheel is not None:
@@ -260,56 +304,25 @@ def cmd_list(args, out) -> int:
     hi = args.hi if args.hi is not None else wheel.period
     if lo < 0 or hi < lo:
         raise UsageError("need 0 <= lo <= hi")
-
-    fmt = _format_of(args)
-    survivors = iter_survivors(wheel, lo, hi)
-    if fmt == "json":
-        query = {"command": "list", "lo": lo, "hi": hi}
-        # streamed by hand so huge ranges never materialize
-        out.write('{\n  "query": ' + json.dumps(query) + ",\n")
-        out.write('  "basis": ' + json.dumps(list(wheel.basis.moduli)) + ",\n")
-        out.write('  "method": null,\n')
-        out.write('  "result": [')
-        first = True
-        for x in survivors:
-            out.write(("" if first else ", ") + str(x))
-            first = False
-        out.write("]\n}\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        if not args.no_header:
-            writer.writerow(["survivor"])
-        for x in survivors:
-            writer.writerow([x])
-    else:
-        for x in survivors:
-            out.write(f"{x}\n")
-    return 0
+    # three lazy walks, of which the renderer consumes one
+    return Report({"command": "list", "lo": lo, "hi": hi}, wheel.basis.moduli,
+                  iter_survivors(wheel, lo, hi), ["survivor"],
+                  ([x] for x in iter_survivors(wheel, lo, hi)),
+                  map(str, iter_survivors(wheel, lo, hi)))
 
 
-def cmd_wheel(args, out) -> int:
+def cmd_wheel(args) -> Report:
     cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
                        DEFAULT_WHEEL_CAP)
     wheel = build_wheel(_basis_from_args(args), cap=cap)
-    fmt = _format_of(args)
-    if fmt == "json":
-        query = {"command": "wheel"}
-        result = {"period": wheel.period, "count": wheel.count,
-                  "residues": list(wheel.residues)}
-        out.write(_envelope(query, wheel.basis, None, result) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, ["residue"], [[r] for r in wheel.residues],
-                   args.no_header)
-    else:
-        out.write(f"period: {wheel.period}\n")
-        out.write(f"count: {wheel.count}\n")
-        out.write("residues:\n")
-        for r in wheel.residues:
-            out.write(f"{r}\n")
-    return 0
+    fields = {"period": wheel.period, "count": wheel.count}
+    return Report({"command": "wheel"}, wheel.basis.moduli,
+                  {**fields, "residues": wheel.residues}, ["residue"],
+                  ([r] for r in wheel.residues),
+                  chain(_keyed(fields), ["residues:"], map(str, wheel.residues)))
 
 
-def cmd_pairs(args, out, *, twins: bool = False) -> int:
+def cmd_pairs(args, *, twins: bool = False) -> Report:
     basis = _basis_from_args(args)
     if twins:
         spec = PairSpec(1, 1)
@@ -318,116 +331,53 @@ def cmd_pairs(args, out, *, twins: bool = False) -> int:
             raise UsageError("offsets must be non-negative")
         spec = PairSpec(args.a, args.b)
     census = pair_count(basis, spec)
-    centers = None
+    header = ["modulus", "forbidden", "factor"]
+    rows = [[f.modulus, f.forbidden_count, f.factor]
+            for f in census.per_modulus_factors]
+    result = {"predicted": census.predicted_count,
+              "factors": [dict(zip(header, row)) for row in rows]}
+    lines = [f"predicted: {census.predicted_count}"]
+    lines += [f"modulus {m}: forbidden {forbidden}, factor {factor}"
+              for m, forbidden, factor in rows]
     if args.enumerate:
         cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
                            DEFAULT_WHEEL_CAP)
         centers = enumerate_pair_centers(basis, spec, cap=cap)
-
-    fmt = _format_of(args)
+        result["centers"] = centers
+        header, rows = ["center"], ([c] for c in centers)
+        lines = chain(lines, ["centers:"], map(str, centers))
     query = {"command": "twins" if twins else "pairs",
              "a": spec.left_offset, "b": spec.right_offset,
              "enumerate": bool(args.enumerate)}
-    if fmt == "json":
-        result = {
-            "predicted": census.predicted_count,
-            "factors": [
-                {"modulus": f.modulus, "forbidden": f.forbidden_count,
-                 "factor": f.factor}
-                for f in census.per_modulus_factors
-            ],
-        }
-        if centers is not None:
-            result["centers"] = list(centers)
-        out.write(_envelope(query, basis, None, result) + "\n")
-    elif fmt == "csv":
-        if centers is not None:
-            _write_csv(out, ["center"], [[c] for c in centers], args.no_header)
-        else:
-            _write_csv(out, ["modulus", "forbidden", "factor"],
-                       [[f.modulus, f.forbidden_count, f.factor]
-                        for f in census.per_modulus_factors],
-                       args.no_header)
-    else:
-        out.write(f"predicted: {census.predicted_count}\n")
-        for f in census.per_modulus_factors:
-            out.write(f"modulus {f.modulus}: forbidden {f.forbidden_count}, "
-                      f"factor {f.factor}\n")
-        if centers is not None:
-            out.write("centers:\n")
-            for c in centers:
-                out.write(f"{c}\n")
-    return 0
+    return Report(query, basis.moduli, result, header, rows, lines)
 
 
-def cmd_cycles(args, out) -> int:
+def cmd_cycles(args) -> Report:
     basis = _basis_from_args(args)
     report = subdivision(basis, args.chosen)
-    fmt = _format_of(args)
-    query = {"command": "cycles", "chosen": args.chosen}
-    if fmt == "json":
-        result = {
-            "chosen": report.chosen_modulus,
-            "interval_length": format_exact(report.interval_length),
-            "intervals": [
-                {"k": iv.index, "boundary": format_exact(iv.boundary),
-                 "cumulative": iv.cumulative_count,
-                 "per_interval": iv.per_interval_count}
-                for iv in report.intervals
-            ],
-        }
-        out.write(_envelope(query, basis, None, result) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, ["k", "boundary", "cumulative", "per_interval"],
-                   [[iv.index, format_exact(iv.boundary), iv.cumulative_count,
-                     iv.per_interval_count] for iv in report.intervals],
-                   args.no_header)
-    else:
-        out.write(f"chosen: {report.chosen_modulus}\n")
-        out.write(f"interval_length: {format_exact(report.interval_length)}\n")
-        rows = [("k", "boundary", "cumulative", "per_interval")]
-        rows += [(str(iv.index), format_exact(iv.boundary),
-                  str(iv.cumulative_count), str(iv.per_interval_count))
-                 for iv in report.intervals]
-        _write_aligned(out, rows)
-    return 0
+    fields = {"chosen": report.chosen_modulus,
+              "interval_length": format_exact(report.interval_length)}
+    header = ["k", "boundary", "cumulative", "per_interval"]
+    rows = [[iv.index, format_exact(iv.boundary), iv.cumulative_count,
+             iv.per_interval_count] for iv in report.intervals]
+    return Report({"command": "cycles", "chosen": args.chosen}, basis.moduli,
+                  {**fields, "intervals": [dict(zip(header, row)) for row in rows]},
+                  header, rows, _keyed(fields) + _aligned([header] + rows))
 
 
-def cmd_table(args, out) -> int:
+def cmd_table(args) -> Report:
     basis = _basis_from_args(args)
-    rows = cycle_table(basis)
     total = total_intervals(basis)
-    fmt = _format_of(args)
-    query = {"command": "table"}
-    if fmt == "json":
-        result = {
-            "rows": [
-                {"modulus": r.modulus, "intervals": r.interval_count,
-                 "interval_size": format_exact(r.interval_size),
-                 "survivors_per_interval": r.survivors_per_interval}
-                for r in rows
-            ],
-            "total_intervals": total,
-        }
-        out.write(_envelope(query, basis, None, result) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, ["modulus", "intervals", "interval_size",
-                         "survivors_per_interval"],
-                   [[r.modulus, r.interval_count, format_exact(r.interval_size),
-                     r.survivors_per_interval] for r in rows],
-                   args.no_header)
-    else:
-        table = [("modulus", "intervals", "interval_size",
-                  "survivors_per_interval")]
-        table += [(str(r.modulus), str(r.interval_count),
-                   format_exact(r.interval_size), str(r.survivors_per_interval))
-                  for r in rows]
-        _write_aligned(out, table)
-        out.write(f"total_intervals: {total}\n")
-    return 0
+    header = ["modulus", "intervals", "interval_size", "survivors_per_interval"]
+    rows = [[r.modulus, r.interval_count, format_exact(r.interval_size),
+             r.survivors_per_interval] for r in cycle_table(basis)]
+    return Report({"command": "table"}, basis.moduli,
+                  {"rows": [dict(zip(header, row)) for row in rows],
+                   "total_intervals": total}, header, rows,
+                  _aligned([header] + rows) + [f"total_intervals: {total}"])
 
 
-def cmd_phi(args, out) -> int:
+def cmd_phi(args) -> Report:
     if args.x < 1:
         raise UsageError("--x must be a positive integer")
     cap = _resolve_cap(args.factor_cap, "--factor-cap", ENV_FACTOR_CAP,
@@ -435,25 +385,12 @@ def cmd_phi(args, out) -> int:
     value = euler_phi(args.x, cap=cap)
     divisors = distinct_prime_factors(args.x, cap=cap)
     matches = phi_identity_check(args.x, cap=cap)
-    fmt = _format_of(args)
-    query = {"command": "phi", "x": args.x}
-    basis = CoprimeBasis(divisors)
-    if fmt == "json":
-        result = {"phi": value, "prime_divisors": list(divisors),
-                  "matches_count": matches}
-        out.write(_envelope(query, basis, None, result) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, ["phi", "prime_divisors", "matches_count"],
-                   [[value, " ".join(map(str, divisors)), _plain_bool(matches)]],
-                   args.no_header)
-    else:
-        out.write(f"phi: {value}\n")
-        out.write(f"prime_divisors: {' '.join(map(str, divisors))}\n")
-        out.write(f"matches_count: {_plain_bool(matches)}\n")
-    return 0
+    return _record({"command": "phi", "x": args.x}, CoprimeBasis(divisors),
+                   {"phi": value, "prime_divisors": list(divisors),
+                    "matches_count": matches})
 
 
-def cmd_ring(args, out) -> int:
+def cmd_ring(args) -> Report:
     basis = _basis_from_args(args)
     if (args.x is None) == (args.vector is None):
         raise UsageError("pass exactly one of --x or --vector")
@@ -468,7 +405,7 @@ def cmd_ring(args, out) -> int:
             raise UsageError(f"cannot parse --vector {args.vector!r}") from None
         vector = ResidueVector(basis, entries)
 
-    result: dict = {
+    fields: dict = {
         "entries": list(vector.entries),
         "survivor_vector": is_survivor_vector(vector),
         "unit_vector": is_unit_vector(vector),
@@ -476,63 +413,27 @@ def cmd_ring(args, out) -> int:
     }
     if args.inverse:
         inv = inverse(vector)  # ValueError on non-units -> exit 1
-        result["inverse_entries"] = list(inv.entries)
-        result["inverse_reconstructed"] = reconstruct(inv)
-
-    def rendered(value) -> str:
-        if isinstance(value, bool):
-            return _plain_bool(value)
-        if isinstance(value, list):
-            return " ".join(map(str, value))
-        return str(value)
-
-    fmt = _format_of(args)
+        fields["inverse_entries"] = list(inv.entries)
+        fields["inverse_reconstructed"] = reconstruct(inv)
     query = {"command": "ring",
              "x": args.x, "vector": args.vector, "inverse": bool(args.inverse)}
-    if fmt == "json":
-        out.write(_envelope(query, basis, None, result) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, list(result), [[rendered(v) for v in result.values()]],
-                   args.no_header)
-    else:
-        for key, value in result.items():
-            out.write(f"{key}: {rendered(value)}\n")
-    return 0
+    return _record(query, basis, fields)
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args) -> Report:
     names = None
     if args.checks:
         names = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
     results = run_checks(depth=args.depth, seed=args.seed, names=names)
-    failed = [r for r in results if not r.passed]
-    fmt = _format_of(args)
-    query = {"command": "verify", "depth": args.depth, "seed": args.seed}
-    if fmt == "json":
-        result = {
-            "results": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results],
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        }
-        out.write(_envelope(query, None, None, result) + "\n")
-    elif fmt == "csv":
-        _write_csv(out, ["name", "passed", "detail"],
-                   [[r.name, _plain_bool(r.passed), r.detail] for r in results],
-                   args.no_header)
-    else:
-        for r in results:
-            out.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
-        out.write(f"passed {len(results) - len(failed)}/{len(results)} "
-                  f"at depth {args.depth}\n")
-    return 3 if failed else 0
-
-
-def _write_aligned(out, rows) -> None:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        out.write(line.rstrip() + "\n")
+    failed = sum(not r.passed for r in results)
+    header = ["name", "passed", "detail"]
+    rows = [[r.name, r.passed, r.detail] for r in results]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines.append(f"passed {len(results) - failed}/{len(results)} at depth {args.depth}")
+    result = {"results": [dict(zip(header, row)) for row in rows],
+              "passed": len(results) - failed, "failed": failed}
+    return Report({"command": "verify", "depth": args.depth, "seed": args.seed},
+                  None, result, header, rows, lines, code=3 if failed else 0)
 
 
 # --- parser ------------------------------------------------------------------
@@ -591,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--wheel-cap", type=int, dest="wheel_cap")
-    p.set_defaults(func=lambda args, out: cmd_pairs(args, out, twins=True))
+    p.set_defaults(func=lambda args: cmd_pairs(args, twins=True))
 
     p = sub.add_parser("cycles", help="equal-count subdivision for one modulus")
     _add_basis_flags(p)
@@ -637,7 +538,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, out)
+        return _render(args.func(args), args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ from itertools import accumulate
 from math import ceil, floor, prod
 from typing import NamedTuple
 
-from .basis import CoprimeBasis
+from .basis import CoprimeBasis, survivor_flags
 from .errors import CapacityError
 
 DEFAULT_ORACLE_CAP = 10**7
@@ -117,14 +117,6 @@ def _floor_boundary(x) -> int:
     return floor(exact_boundary(x))
 
 
-def _survivor_flags(moduli, n: int) -> bytearray:
-    """One flag per integer 0..n: 1 where no modulus divides it."""
-    alive = bytearray([1]) * (n + 1)
-    for m in moduli:
-        alive[0::m] = bytes(len(range(0, n + 1, m)))
-    return alive
-
-
 def count_by_sieve(basis: CoprimeBasis, x, *, cap: int = DEFAULT_ORACLE_CAP) -> CountResult:
     """Oracle count: strike multiples of every modulus in [1, floor(x)]."""
     n = _floor_boundary(x)
@@ -132,7 +124,7 @@ def count_by_sieve(basis: CoprimeBasis, x, *, cap: int = DEFAULT_ORACLE_CAP) -> 
         raise CapacityError(f"floor(x) = {n} exceeds the oracle cap of {cap}")
     if n < 1:
         return CountResult(0, METHOD_ORACLE)
-    return CountResult(_survivor_flags(basis.moduli, n).count(1, 1), METHOD_ORACLE)
+    return CountResult(survivor_flags(basis.moduli, n).count(1, 1), METHOD_ORACLE)
 
 
 def _legendre(moduli: tuple[int, ...], n: int) -> int:
@@ -170,7 +162,7 @@ _TABLE_LIMIT = 1 << 16
 # Below that ceiling the table is sized to the work it saves.  Taking one
 # more modulus into the table multiplies its entries by that modulus and
 # halves the leaves of the peel over the moduli left outside it.  In
-# CPython 3.11 on x86-64 one table entry (marked by ``_survivor_flags``,
+# CPython 3.11 on x86-64 one table entry (marked by ``survivor_flags``,
 # summed by ``array("I", accumulate(...))``) costs 43-51 ns, and one leaf
 # of ``_phi`` (a quotient, a table lookup and the loop step around them)
 # 700-830 ns: a leaf is worth about 16 entries, so a modulus pays for
@@ -253,7 +245,7 @@ def _table_counts(moduli: tuple[int, ...], ns: list[int], c: int) -> list[int]:
     table) to len(moduli) gives the same counts; only the work differs.
     """
     period = prod(moduli[:c])
-    flags = _survivor_flags(moduli[:c], min(period - 1, max(ns, default=0)))
+    flags = survivor_flags(moduli[:c], min(period - 1, max(ns, default=0)))
     flags[0] = 0  # cum[r] counts survivors in 1..r
     kernel = _PhiKernel(moduli, c, period, prod(m - 1 for m in moduli[:c]),
                         array("I", accumulate(flags)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, build_wheel
+from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, build_wheel, survivor_flags
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,19 @@ def enumerate_pair_centers(
     *,
     cap: int = DEFAULT_WHEEL_CAP,
 ) -> tuple[int, ...]:
-    """All centers x in (0, period], by direct scan over one wheel.
+    """All centers x in (0, period], by a walk over one wheel's residues.
 
-    Neighbors wrap modulo the period, so a center near either end pairs
-    with a survivor from the adjacent copy of the pattern.  The result
-    length always equals the census prediction.
+    Each surviving left neighbor r gives the one candidate center
+    x = r + a (mod period), which is a center iff x + b = r + a + b
+    survives too.  Neighbors wrap modulo the period, so a center near
+    either end pairs with a survivor from the adjacent copy of the
+    pattern.  The result length always equals the census prediction.
     """
     wheel = build_wheel(basis, cap=cap)
     period = wheel.period
-    residues = set(wheel.residues)
+    alive = survivor_flags(basis.moduli, period - 1)
     a, b = spec.left_offset, spec.right_offset
-    return tuple(
-        x for x in range(1, period + 1)
-        if (x - a) % period in residues and (x + b) % period in residues
-    )
+    return tuple(sorted(
+        (r + a - 1) % period + 1 for r in wheel.residues
+        if alive[(r + a + b) % period]
+    ))

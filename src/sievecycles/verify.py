@@ -22,9 +22,9 @@ from .basis import (
     killer_index,
     make_basis,
     make_prime_basis,
+    survivor_flags,
 )
 from .counting import (
-    _survivor_flags,
     count_by_sieve,
     count_generalized_meissel,
     count_legendre,
@@ -336,7 +336,7 @@ def check_cycles_uniform_counts(rng, p):
         # One oracle sieve up to the largest boundary within reach, read
         # through a running count; Legendre takes the boundaries beyond it.
         reach = max((floor(b) for b in boundaries if b <= 10**5), default=0)
-        alive = _survivor_flags(basis.moduli, reach)
+        alive = survivor_flags(basis.moduli, reach)
         running = counted = 0
         for k, boundary in enumerate(boundaries, start=1):
             if boundary <= 10**5:
@@ -577,12 +577,17 @@ CHECKS = (
 
 def run_checks(depth: str = "standard", seed: int = 0,
                names: list[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and collect results."""
+    """Run the named checks (all by default) and collect results.
+
+    An empty ``names`` is a ValueError: zero checks would pass silently.
+    """
     if depth not in _PARAMS:
         raise ValueError(f"depth must be one of {DEPTHS}")
     params = _PARAMS[depth]
     selected = [(n, f) for n, f in CHECKS if names is None or n in names]
     if names is not None:
+        if not names:
+            raise ValueError("no checks selected")
         known = {n for n, _ in CHECKS}
         unknown = [n for n in names if n not in known]
         if unknown:

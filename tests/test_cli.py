@@ -178,6 +178,29 @@ class TestWheelAndList:
         assert doc["result"] == [1, 7, 11, 13, 17, 19, 23, 29]
         assert doc["basis"] == [2, 3, 5]
 
+    @pytest.mark.parametrize("fmt", [("--format", "plain"), ("--format", "csv"),
+                                     ("--format", "json"), ("--json",)])
+    def test_list_streams_in_every_format(self, fmt):
+        # A range of 10**18 returns only if survivors are written as they
+        # come: the output gives up after its tenth write.
+        class Enough(Exception):
+            pass
+
+        class TenWrites(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 10:
+                    raise Enough
+                return super().write(text)
+
+        out = TenWrites()
+        with pytest.raises(Enough):
+            cli.main(["list", "--n", "3", "--lo", "0", "--hi", str(10**18), *fmt],
+                     out=out)
+        assert out.writes == 11
+
     def test_wheel_cap_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("SIEVECYCLES_WHEEL_CAP", "10")
         code, _ = run_cli("wheel", "--n", "3")
@@ -322,6 +345,11 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self):
         code, _ = run_cli("verify", "--checks", "definitely.not.real")
         assert code == 1
+
+    @pytest.mark.parametrize("checks", [",", " , ,"])
+    def test_empty_check_list_is_usage_error(self, checks, capsys):
+        assert run_cli("verify", "--depth", "small", "--checks", checks) == (1, "")
+        assert "no checks selected" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -32,6 +32,11 @@ def test_unknown_name_rejected():
         run_checks(depth="small", names=["wheel.symmetry", "nope.nothing"])
 
 
+def test_empty_selection_rejected():
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_checks(depth="small", names=[])
+
+
 def test_bad_depth_rejected():
     with pytest.raises(ValueError):
         run_checks(depth="extreme")
