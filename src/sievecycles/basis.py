@@ -198,9 +198,10 @@ def killer_index(wheel: Wheel, m: int, a: int) -> int:
 def extend_wheel(wheel: Wheel, m: int, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     """Wheel for the basis extended by ``m`` (coprime to the period).
 
-    Rolls m copies of the current wheel and deletes, per residue row, the
-    single entry that m divides.  Equivalent to rebuilding from scratch but
-    shows the one-kill-per-row transition explicitly.
+    Rolls m copies of the current wheel in order, K * period + a for K in
+    [0, m) and each residue a, and drops every entry that m divides: one per
+    residue row, the one at ``killer_index(wheel, m, a)``.  The roll is
+    already increasing, so nothing is sorted.
     """
     if m < 2:
         raise ValueError(f"modulus {m} is smaller than 2")
@@ -211,16 +212,11 @@ def extend_wheel(wheel: Wheel, m: int, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel
         raise CapacityError(
             f"period {new_period} exceeds the wheel cap of {cap} residue candidates"
         )
-    new_basis = make_basis(wheel.basis.moduli + (m,))
-    survivors = []
-    for a in wheel.residues:
-        dead = killer_index(wheel, m, a)
-        for k in range(m):
-            if k != dead:
-                survivors.append(k * wheel.period + a)
-    residues = tuple(sorted(survivors))
-    return Wheel(basis=new_basis, period=new_period, residues=residues,
-                 count=len(residues))
+    period = wheel.period
+    residues = tuple(x for k in range(m) for a in wheel.residues
+                     if (x := k * period + a) % m)
+    return Wheel(basis=make_basis(wheel.basis.moduli + (m,)), period=new_period,
+                 residues=residues, count=len(residues))
 
 
 def iter_survivors(wheel: Wheel, lo: int, hi: int) -> Iterator[int]:

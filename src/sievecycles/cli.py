@@ -251,11 +251,10 @@ def _load_wheel_json(path: str) -> Wheel:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not look like wheel JSON: not an object")
-    body = data.get("result") if isinstance(data.get("result"), dict) else data
     try:
-        moduli = data.get("basis") if "basis" in data else body["basis"]
-        residues = tuple(body["residues"])
-        period = body["period"]
+        moduli = data["basis"]
+        residues = tuple(data["result"]["residues"])
+        period = data["result"]["period"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} does not look like wheel JSON: {exc}") from None
     basis = make_basis(moduli) if moduli else CoprimeBasis(())
@@ -422,7 +421,7 @@ def cmd_ring(args) -> Report:
 
 def cmd_verify(args) -> Report:
     names = None
-    if args.checks:
+    if args.checks is not None:
         names = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
     results = run_checks(depth=args.depth, seed=args.seed, names=names)
     failed = sum(not r.passed for r in results)

@@ -142,16 +142,19 @@ class TestIsSurvivor:
 
 
 class TestExtendWheel:
-    def test_matches_direct_build(self):
-        grown = extend_wheel(build_wheel(make_prime_basis(3)), 7)
-        direct = build_wheel(make_prime_basis(4))
-        assert grown.residues == direct.residues
-        assert grown.count == 48  # 8 * 7 - 8: one kill per residue row
-
-    def test_first_wave(self):
-        grown = extend_wheel(build_wheel(make_prime_basis(0)), 2)
-        assert grown.period == 2
-        assert grown.residues == (1,)
+    @pytest.mark.parametrize("moduli, m", [
+        ((), 2), ((2,), 3), ((3,), 2), ((2, 3, 5), 7), ((2, 3, 5, 7), 11),
+        ((3, 5, 7), 4), ((4, 9), 25), ((20,), 2783), ((8, 15), 7),
+    ])
+    def test_matches_oracle_over_the_new_period(self, moduli, m):
+        wheel = build_wheel(make_basis(moduli))
+        grown = extend_wheel(wheel, m)
+        want = tuple(x for x in range(wheel.period * m)
+                     if oracle_survives(moduli + (m,), x))
+        assert grown.residues == want
+        assert grown.count == len(want)
+        assert grown.period == wheel.period * m
+        assert grown.basis == make_basis(moduli + (m,))
 
     def test_order_independent(self):
         a = extend_wheel(extend_wheel(build_wheel(make_basis([2, 3])), 5), 7)

@@ -161,6 +161,15 @@ class TestWheelAndList:
         assert run_cli("list", "--from-wheel", str(path)) == (1, "")
         assert "does not look like wheel JSON" in capsys.readouterr().err
 
+    def test_from_wheel_rejects_a_bare_wheel_object(self, tmp_path, capsys):
+        # Only the envelope that `wheel --json` writes is read.
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"basis": [2, 3, 5], "period": 30,
+                                    "residues": [1, 7, 11, 13, 17, 19, 23, 29]}))
+        assert run_cli("list", "--from-wheel", str(path)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "does not look like wheel JSON" in err
+
     @pytest.mark.parametrize("argv", [("--moduli", "4,9,25"), ("--n", "0")])
     def test_from_wheel_accepts_composite_and_empty_wheels(self, tmp_path, argv):
         # Composite moduli leave survivors that share a factor with the
@@ -346,7 +355,7 @@ class TestVerifyCommand:
         code, _ = run_cli("verify", "--checks", "definitely.not.real")
         assert code == 1
 
-    @pytest.mark.parametrize("checks", [",", " , ,"])
+    @pytest.mark.parametrize("checks", [",", " , ,", ""])
     def test_empty_check_list_is_usage_error(self, checks, capsys):
         assert run_cli("verify", "--depth", "small", "--checks", checks) == (1, "")
         assert "no checks selected" in capsys.readouterr().err
