@@ -21,7 +21,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .basis import (
     DEFAULT_WHEEL_CAP,
@@ -45,9 +45,7 @@ from .counting import (
     count_meissel,
     count_periodic,
     distinct_prime_factors,
-    euler_phi,
     exact_boundary,
-    phi_identity_check,
 )
 from .cycles import cycle_table, subdivision, total_intervals
 from .errors import CapacityError
@@ -63,15 +61,20 @@ from .ring import (
 )
 from .verify import DEPTHS, run_checks
 
-ENV_ORACLE_CAP = "SIEVECYCLES_ORACLE_CAP"
-ENV_WHEEL_CAP = "SIEVECYCLES_WHEEL_CAP"
-ENV_FACTOR_CAP = "SIEVECYCLES_FACTOR_CAP"
+# One row per cap: dest, flag, environment variable, default, what it
+# limits, and the subcommands that accept it.
+_CAPS = (
+    ("oracle_cap", "--oracle-cap", "SIEVECYCLES_ORACLE_CAP", DEFAULT_ORACLE_CAP,
+     "largest floor(x) the sieve oracle will scan", ("count",)),
+    ("wheel_cap", "--wheel-cap", "SIEVECYCLES_WHEEL_CAP", DEFAULT_WHEEL_CAP,
+     "largest period a wheel may materialize", ("list", "wheel", "pairs", "twins")),
+    ("factor_cap", "--factor-cap", "SIEVECYCLES_FACTOR_CAP", DEFAULT_FACTOR_CAP,
+     "largest input phi will trial-divide", ("phi",)),
+)
 
-_EPILOG = f"""\
-caps:
-  --oracle-cap / {ENV_ORACLE_CAP}   largest floor(x) the sieve oracle will scan (default {DEFAULT_ORACLE_CAP})
-  --wheel-cap  / {ENV_WHEEL_CAP}    largest period a wheel may materialize (default {DEFAULT_WHEEL_CAP})
-  --factor-cap / {ENV_FACTOR_CAP}   largest input phi will trial-divide (default {DEFAULT_FACTOR_CAP})
+_EPILOG = "caps:\n" + "".join(
+    f"  {flag:<12} / {env:<22}   {limits} (default {default})\n"
+    for _, flag, env, default, limits, _ in _CAPS) + """\
 Flags win over environment variables; both win over the defaults.
 
 exit codes: 0 success, 1 usage/parse error, 2 capacity exceeded, 3 verification failure.
@@ -88,41 +91,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def _resolve_cap(flag_value, flag: str, env_name: str, default: int) -> int:
-    if flag_value is None:
-        return _env_cap(env_name, default)
-    if flag_value < 0:
-        raise UsageError(f"{flag} must be non-negative, got {flag_value}")
-    return flag_value
-
-
-def _add_basis_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, metavar="N",
-                        help="use the first N primes as the basis")
-    parser.add_argument("--moduli", metavar="LIST",
-                        help="comma-separated pairwise-coprime moduli, e.g. 20,2783")
-
-
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("plain", "csv", "json"),
-                        default="plain", help="output format (default plain)")
-    parser.add_argument("--json", action="store_true",
-                        help="shorthand for --format json")
-    parser.add_argument("--no-header", action="store_true",
-                        help="omit the header row in csv output")
+def _resolve_caps(args) -> None:
+    """Settle every cap the subcommand accepts: the flag, else the
+    environment variable, else the default; a negative value is an error."""
+    for dest, flag, env, default, _, _ in _CAPS:
+        if not hasattr(args, dest):
+            continue
+        value, source = getattr(args, dest), flag
+        if value is None:
+            raw, source = os.environ.get(env, ""), env
+            try:
+                value = int(raw) if raw else default
+            except ValueError:
+                raise UsageError(f"{env} must be an integer, got {raw!r}") from None
+        if value < 0:
+            raise UsageError(f"{source} must be non-negative, got {value}")
+        setattr(args, dest, value)
 
 
 def _basis_from_args(args) -> CoprimeBasis:
@@ -205,7 +189,13 @@ def _render(report: Report, args, out) -> int:
                 out.write((", " if i else "") + json.dumps(item))
             out.write("]\n}\n")
         else:
-            out.write(json.dumps({**head, "result": report.result}, indent=2) + "\n")
+            # the indented encoder is pure Python either way; writing its
+            # chunks in batches keeps a large wheel from becoming one string
+            doc = {**head, "result": report.result}
+            chunks = json.JSONEncoder(indent=2).iterencode(doc)
+            while text := "".join(islice(chunks, 4096)):
+                out.write(text)
+            out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out)
         if not args.no_header:
@@ -227,9 +217,7 @@ def cmd_count(args) -> Report:
     if args.drop is not None and method != METHOD_GENERALIZED_MEISSEL:
         raise UsageError("--drop only applies to --method generalized_meissel")
     if method == "oracle":
-        cap = _resolve_cap(args.oracle_cap, "--oracle-cap", ENV_ORACLE_CAP,
-                           DEFAULT_ORACLE_CAP)
-        result = count_by_sieve(basis, x, cap=cap)
+        result = count_by_sieve(basis, x, cap=args.oracle_cap)
     elif method == "legendre":
         result = count_legendre(basis, x)
     elif method == "meissel":
@@ -246,7 +234,7 @@ def cmd_count(args) -> Report:
                    result=result.value, method=result.method)
 
 
-def _load_wheel_json(path: str) -> Wheel:
+def _load_wheel_json(path: str, *, cap: int) -> Wheel:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -258,6 +246,9 @@ def _load_wheel_json(path: str) -> Wheel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} does not look like wheel JSON: {exc}") from None
     basis = make_basis(moduli) if moduli else CoprimeBasis(())
+    if basis.period > cap:
+        raise CapacityError(f"{path}: period {basis.period} exceeds the wheel cap "
+                            f"of {cap} residue candidates")
     problem = _wheel_problem(basis, period, residues)
     if problem is not None:
         raise ValueError(f"{path} is not a valid wheel: {problem}")
@@ -291,14 +282,12 @@ def _wheel_problem(basis: CoprimeBasis, period, residues: tuple) -> str | None:
 
 
 def cmd_list(args) -> Report:
-    cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
-                       DEFAULT_WHEEL_CAP)
     if args.from_wheel is not None:
         if args.n is not None or args.moduli is not None:
             raise UsageError("--from-wheel replaces --n/--moduli")
-        wheel = _load_wheel_json(args.from_wheel)
+        wheel = _load_wheel_json(args.from_wheel, cap=args.wheel_cap)
     else:
-        wheel = build_wheel(_basis_from_args(args), cap=cap)
+        wheel = build_wheel(_basis_from_args(args), cap=args.wheel_cap)
     lo = args.lo if args.lo is not None else 1
     hi = args.hi if args.hi is not None else wheel.period
     if lo < 0 or hi < lo:
@@ -311,9 +300,7 @@ def cmd_list(args) -> Report:
 
 
 def cmd_wheel(args) -> Report:
-    cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
-                       DEFAULT_WHEEL_CAP)
-    wheel = build_wheel(_basis_from_args(args), cap=cap)
+    wheel = build_wheel(_basis_from_args(args), cap=args.wheel_cap)
     fields = {"period": wheel.period, "count": wheel.count}
     return Report({"command": "wheel"}, wheel.basis.moduli,
                   {**fields, "residues": wheel.residues}, ["residue"],
@@ -339,9 +326,7 @@ def cmd_pairs(args, *, twins: bool = False) -> Report:
     lines += [f"modulus {m}: forbidden {forbidden}, factor {factor}"
               for m, forbidden, factor in rows]
     if args.enumerate:
-        cap = _resolve_cap(args.wheel_cap, "--wheel-cap", ENV_WHEEL_CAP,
-                           DEFAULT_WHEEL_CAP)
-        centers = enumerate_pair_centers(basis, spec, cap=cap)
+        centers = enumerate_pair_centers(basis, spec, cap=args.wheel_cap)
         result["centers"] = centers
         header, rows = ["center"], ([c] for c in centers)
         lines = chain(lines, ["centers:"], map(str, centers))
@@ -379,14 +364,12 @@ def cmd_table(args) -> Report:
 def cmd_phi(args) -> Report:
     if args.x < 1:
         raise UsageError("--x must be a positive integer")
-    cap = _resolve_cap(args.factor_cap, "--factor-cap", ENV_FACTOR_CAP,
-                       DEFAULT_FACTOR_CAP)
-    value = euler_phi(args.x, cap=cap)
-    divisors = distinct_prime_factors(args.x, cap=cap)
-    matches = phi_identity_check(args.x, cap=cap)
-    return _record({"command": "phi", "x": args.x}, CoprimeBasis(divisors),
-                   {"phi": value, "prime_divisors": list(divisors),
-                    "matches_count": matches})
+    # one factorization: phi(x) = x / P * prod(p - 1) over the primes p | x
+    basis = CoprimeBasis(distinct_prime_factors(args.x, cap=args.factor_cap))
+    value = args.x // basis.period * basis.survivor_count
+    return _record({"command": "phi", "x": args.x}, basis,
+                   {"phi": value, "prime_divisors": list(basis.moduli),
+                    "matches_count": value == count_legendre(basis, args.x).value})
 
 
 def cmd_ring(args) -> Report:
@@ -447,73 +430,69 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    basis = argparse.ArgumentParser(add_help=False)
+    basis.add_argument("--n", type=int, metavar="N",
+                       help="use the first N primes as the basis")
+    basis.add_argument("--moduli", metavar="LIST",
+                       help="comma-separated pairwise-coprime moduli, e.g. 20,2783")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("plain", "csv", "json"),
+                     default="plain", help="output format (default plain)")
+    fmt.add_argument("--json", action="store_true",
+                     help="shorthand for --format json")
+    fmt.add_argument("--no-header", action="store_true",
+                     help="omit the header row in csv output")
+    both = [basis, fmt]
 
-    p = sub.add_parser("count", help="count survivors <= x")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("count", help="count survivors <= x", parents=both)
     p.add_argument("--x", required=True, metavar="BOUNDARY",
                    help="exact rational: 35, 52.5, or 105/2")
     p.add_argument("--method", choices=METHODS, default=METHOD_LEGENDRE)
     p.add_argument("--drop", type=int,
                    help="modulus to peel first (generalized_meissel only; "
                         "default: smallest)")
-    p.add_argument("--oracle-cap", type=int, dest="oracle_cap")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("list", help="enumerate survivors in [lo, hi]")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("list", help="enumerate survivors in [lo, hi]", parents=both)
     p.add_argument("--lo", type=int)
     p.add_argument("--hi", type=int)
     p.add_argument("--from-wheel", metavar="FILE", dest="from_wheel",
                    help="reuse a wheel previously emitted as JSON")
-    p.add_argument("--wheel-cap", type=int, dest="wheel_cap")
     p.set_defaults(func=cmd_list)
 
-    p = sub.add_parser("wheel", help="emit one full period of residues")
-    _add_basis_flags(p)
-    _add_format_flags(p)
-    p.add_argument("--wheel-cap", type=int, dest="wheel_cap")
+    p = sub.add_parser("wheel", help="emit one full period of residues", parents=both)
     p.set_defaults(func=cmd_wheel)
 
-    p = sub.add_parser("pairs", help="census of (x-a, x+b) survivor pairs")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("pairs", help="census of (x-a, x+b) survivor pairs",
+                       parents=both)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--enumerate", action="store_true",
                    help="also list the centers in (0, period]")
-    p.add_argument("--wheel-cap", type=int, dest="wheel_cap")
     p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser("twins", help="census of twin survivors (a = b = 1)")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("twins", help="census of twin survivors (a = b = 1)",
+                       parents=both)
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--wheel-cap", type=int, dest="wheel_cap")
     p.set_defaults(func=lambda args: cmd_pairs(args, twins=True))
 
-    p = sub.add_parser("cycles", help="equal-count subdivision for one modulus")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("cycles", help="equal-count subdivision for one modulus",
+                       parents=both)
     p.add_argument("--chosen", type=int, required=True,
                    help="basis modulus whose m-1 intervals to report")
     p.set_defaults(func=cmd_cycles)
 
-    p = sub.add_parser("table", help="per-modulus interval table for a basis")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("table", help="per-modulus interval table for a basis",
+                       parents=both)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("phi", help="Euler's totient and the survivor-count bridge")
-    _add_format_flags(p)
+    p = sub.add_parser("phi", help="Euler's totient and the survivor-count bridge",
+                       parents=[fmt])
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--factor-cap", type=int, dest="factor_cap")
     p.set_defaults(func=cmd_phi)
 
-    p = sub.add_parser("ring", help="residue vectors: decompose, reconstruct, invert")
-    _add_basis_flags(p)
-    _add_format_flags(p)
+    p = sub.add_parser("ring", help="residue vectors: decompose, reconstruct, invert",
+                       parents=both)
     p.add_argument("--x", type=int, help="integer to decompose")
     p.add_argument("--vector", metavar="LIST",
                    help="comma-separated entries to reconstruct")
@@ -521,14 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the componentwise inverse")
     p.set_defaults(func=cmd_ring)
 
-    p = sub.add_parser("verify", help="run the invariant suites")
-    _add_format_flags(p)
+    p = sub.add_parser("verify", help="run the invariant suites", parents=[fmt])
     p.add_argument("--depth", choices=DEPTHS, default="standard")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checks", metavar="LIST",
                    help="comma-separated check names (default: all)")
     p.set_defaults(func=cmd_verify)
 
+    for dest, flag, _, _, _, commands in _CAPS:
+        for command in commands:
+            sub.choices[command].add_argument(flag, type=int, dest=dest)
     return parser
 
 
@@ -537,6 +518,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _resolve_caps(args)
         return _render(args.func(args), args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -346,4 +346,5 @@ def phi_identity_check(x: int, *, cap: int = DEFAULT_FACTOR_CAP) -> bool:
     """Totient bridge: phi(x) equals the survivor count <= x for the basis
     of x's own prime divisors."""
     basis = CoprimeBasis(distinct_prime_factors(x, cap=cap))
-    return euler_phi(x, cap=cap) == count_legendre(basis, x).value
+    # phi(x) = x / P * prod(p - 1): the product formula on one factorization
+    return x // basis.period * basis.survivor_count == count_legendre(basis, x).value

@@ -115,8 +115,8 @@ def _random_boundary(rng: random.Random, cap: int) -> Fraction:
 def _asymmetric_residues(basis: CoprimeBasis) -> list[int]:
     """Every a in (0, period) whose mirror period - a differs in survivorship."""
     period = basis.period
-    return [a for a in range(1, period)
-            if is_survivor(basis, a) != is_survivor(basis, period - a)]
+    alive = survivor_flags(basis.moduli, period)
+    return [a for a in range(1, period) if alive[a] != alive[period - a]]
 
 
 def check_wheel_periodicity(rng, p):
@@ -544,35 +544,10 @@ def check_ring_product_map(rng, p):
     return f"{p.samples} random products"
 
 
-CHECKS = (
-    ("wheel.periodicity", check_wheel_periodicity),
-    ("wheel.symmetry", check_wheel_symmetry),
-    ("wheel.count_product", check_wheel_count_product),
-    ("wheel.one_kill_per_row", check_wheel_one_kill_per_row),
-    ("wheel.order_independence", check_wheel_order_independence),
-    ("wheel.composite_moduli", check_wheel_composite_moduli),
-    ("count.method_agreement", check_count_method_agreement),
-    ("count.peel_largest", check_count_peel_largest),
-    ("count.peel_any", check_count_peel_any),
-    ("count.monotone_steps", check_count_monotone_steps),
-    ("count.period_shift", check_count_period_shift),
-    ("count.reflection", check_count_reflection),
-    ("count.pruning", check_count_pruning),
-    ("count.totient_bridge", check_count_totient_bridge),
-    ("cycles.uniform_counts", check_cycles_uniform_counts),
-    ("cycles.row_consistency", check_cycles_row_consistency),
-    ("cycles.degenerate_two", check_cycles_degenerate_two),
-    ("cycles.fractional_boundaries", check_cycles_fractional_boundaries),
-    ("pairs.census_exact", check_pairs_census_exact),
-    ("pairs.twin_product", check_pairs_twin_product),
-    ("pairs.merged_offsets", check_pairs_merged_offsets),
-    ("pairs.center_shift", check_pairs_center_shift),
-    ("pairs.center_mirror", check_pairs_center_mirror),
-    ("ring.bijection", check_ring_bijection),
-    ("ring.survivor_vs_unit", check_ring_survivor_vs_unit),
-    ("ring.group_axioms", check_ring_group_axioms),
-    ("ring.product_map", check_ring_product_map),
-)
+# Every check_<suite>_<law> above, in definition order, as "<suite>.<law>".
+CHECKS = tuple((name.removeprefix("check_").replace("_", ".", 1), fn)
+               for name, fn in globals().items()
+               if name.startswith("check_"))
 
 
 def run_checks(depth: str = "standard", seed: int = 0,

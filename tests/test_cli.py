@@ -216,6 +216,15 @@ class TestWheelAndList:
         assert code == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_from_wheel_obeys_the_wheel_cap(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(run_cli("wheel", "--n", "3", "--json")[1])
+        assert run_cli("list", "--from-wheel", str(path), "--wheel-cap", "5") == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds the wheel cap of 5" in err
+        assert run_cli("list", "--from-wheel", str(path), "--wheel-cap", "30",
+                       "--hi", "10") == (0, "1\n7\n")
+
     def test_wheel_cap_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("SIEVECYCLES_WHEEL_CAP", "10")
         code, text = run_cli("wheel", "--n", "3", "--wheel-cap", "100")
@@ -379,21 +388,29 @@ class TestNegativeCaps:
         ("twins", "--n", "3", "--enumerate", "--wheel-cap", "-1"),
         ("count", "--n", "3", "--x", "5", "--method", "oracle", "--oracle-cap", "-1"),
         ("phi", "--x", "10", "--factor-cap", "-2"),
+        # a cap is checked even on a run that does not use it
+        ("pairs", "--n", "3", "--wheel-cap", "-5"),
+        ("twins", "--n", "3", "--wheel-cap", "-1"),
+        ("count", "--n", "3", "--x", "5", "--oracle-cap", "-5"),
     ])
     def test_flag_is_usage_error(self, argv, capsys):
         assert run_cli(*argv) == (1, "")
-        assert "must be non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be non-negative" in err
 
     @pytest.mark.parametrize("env, argv", [
         ("SIEVECYCLES_WHEEL_CAP", ("wheel", "--n", "3")),
         ("SIEVECYCLES_ORACLE_CAP",
          ("count", "--n", "3", "--x", "5", "--method", "oracle")),
         ("SIEVECYCLES_FACTOR_CAP", ("phi", "--x", "10")),
+        ("SIEVECYCLES_ORACLE_CAP", ("count", "--n", "3", "--x", "5")),
+        ("SIEVECYCLES_WHEEL_CAP", ("pairs", "--n", "3")),
     ])
     def test_env_is_usage_error(self, env, argv, monkeypatch, capsys):
         monkeypatch.setenv(env, "-3")
         assert run_cli(*argv) == (1, "")
-        assert f"{env} must be non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{env} must be non-negative" in err
 
     def test_zero_cap_still_applies(self, capsys):
         code, _ = run_cli("wheel", "--n", "3", "--wheel-cap", "0")
