@@ -39,6 +39,7 @@ from .counting import (
     METHOD_GENERALIZED_MEISSEL,
     METHOD_LEGENDRE,
     METHODS,
+    _totient,
     count_by_sieve,
     count_generalized_meissel,
     count_legendre,
@@ -364,9 +365,8 @@ def cmd_table(args) -> Report:
 def cmd_phi(args) -> Report:
     if args.x < 1:
         raise UsageError("--x must be a positive integer")
-    # one factorization: phi(x) = x / P * prod(p - 1) over the primes p | x
     basis = CoprimeBasis(distinct_prime_factors(args.x, cap=args.factor_cap))
-    value = args.x // basis.period * basis.survivor_count
+    value = _totient(args.x, basis)
     return _record({"command": "phi", "x": args.x}, basis,
                    {"phi": value, "prime_divisors": list(basis.moduli),
                     "matches_count": value == count_legendre(basis, args.x).value})

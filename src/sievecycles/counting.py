@@ -334,17 +334,18 @@ def distinct_prime_factors(x: int, *, cap: int = DEFAULT_FACTOR_CAP) -> tuple[in
     return tuple(primes)
 
 
+def _totient(x: int, basis: CoprimeBasis) -> int:
+    """phi(x) = x / P * prod(p - 1) for the basis of x's distinct primes."""
+    return x // basis.period * basis.survivor_count
+
+
 def euler_phi(x: int, *, cap: int = DEFAULT_FACTOR_CAP) -> int:
     """Euler's totient via the distinct-prime-divisor product formula."""
-    result = x
-    for p in distinct_prime_factors(x, cap=cap):
-        result = result // p * (p - 1)
-    return result
+    return _totient(x, CoprimeBasis(distinct_prime_factors(x, cap=cap)))
 
 
 def phi_identity_check(x: int, *, cap: int = DEFAULT_FACTOR_CAP) -> bool:
     """Totient bridge: phi(x) equals the survivor count <= x for the basis
     of x's own prime divisors."""
     basis = CoprimeBasis(distinct_prime_factors(x, cap=cap))
-    # phi(x) = x / P * prod(p - 1): the product formula on one factorization
-    return x // basis.period * basis.survivor_count == count_legendre(basis, x).value
+    return _totient(x, basis) == count_legendre(basis, x).value
