@@ -1,8 +1,8 @@
 """Shared brute-force oracles, deliberately independent of the library.
 
 Everything here recomputes from first principles (literal trial division,
-full scans) so library results are checked against a second route, not
-against themselves.
+full scans, one recursive call per inclusion-exclusion term) so library
+results are checked against a second route, not against themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +19,25 @@ def oracle_count(moduli, x) -> int:
     """Survivors a with 1 <= a <= x, one trial division at a time."""
     n = floor(Fraction(x))
     return sum(1 for a in range(1, n + 1) if oracle_survives(moduli, a))
+
+
+def oracle_legendre(moduli, n: int) -> int:
+    """Signed sum of n // d over the squarefree products d <= n of the
+    ascending ``moduli``: one recursive call per product, pruned once
+    products exceed n."""
+
+    def signed_tail(start: int, product: int) -> int:
+        total = n // product
+        for i in range(start, len(moduli)):
+            d = product * moduli[i]
+            if d > n:
+                break  # moduli ascend, so every later product exceeds n too
+            total -= signed_tail(i + 1, d)
+        return total
+
+    if n < 1:
+        return 0
+    return signed_tail(0, 1)
 
 
 def oracle_centers(moduli, a: int, b: int) -> list[int]:

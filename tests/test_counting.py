@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 from math import floor, gcd, prod
 
 import pytest
-from conftest import oracle_count, oracle_survives
+from conftest import oracle_count, oracle_legendre, oracle_survives
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,14 @@ from sievecycles import (
     phi_identity_check,
     subdivision,
 )
-from sievecycles.counting import _TABLE_LIMIT, _table_counts, _table_prefix
+from sievecycles.counting import (
+    _TABLE_LIMIT,
+    _floor_counts,
+    _legendre,
+    _signed_products,
+    _table_counts,
+    _table_prefix,
+)
 
 B3 = make_prime_basis(3)
 B4 = make_prime_basis(4)
@@ -382,6 +390,104 @@ def test_meissel_closed_form_at_25_primes(m, k):
     basis = make_prime_basis(25)
     expected = k * prod(v - 1 for v in basis if v != m)
     assert count_meissel(basis, Fraction(k * basis.period, m - 1)).value == expected
+
+
+# Legendre's flat table of signed products and its walk over the larger
+# moduli, against the conftest oracles and an unpruned subset sum.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+LEGENDRE_BASES = [PRIMES[:k] for k in range(len(PRIMES) + 1)] + [
+    (4, 9, 25), (20, 2783), (4, 7, 9, 11, 13, 17, 25),
+    (4, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 53),
+]
+
+
+def unpruned_legendre(moduli, n: int) -> int:
+    """Signed sum of n // prod(s) over every subset s of ``moduli``."""
+    return sum((-1) ** r * (n // prod(s))
+               for r in range(len(moduli) + 1) for s in combinations(moduli, r))
+
+
+@st.composite
+def legendre_case(draw):
+    """(moduli, n): n small, anywhere up to 3 * period, or within one of a
+    product of some of the moduli, where a table entry or a walk quotient
+    equals its bound exactly."""
+    moduli = draw(st.sampled_from(LEGENDRE_BASES))
+    period = prod(moduli)
+    product = prod(draw(st.sets(st.sampled_from(moduli))) if moduli else ())
+    n = draw(st.one_of(
+        st.integers(0, 64),
+        st.integers(0, 3 * period),
+        st.integers(0, 3000).map(lambda q: q * period // 1000),
+        st.integers(max(0, product - 1), product + 1),
+    ))
+    return moduli, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(legendre_case())
+def test_legendre_matches_the_oracles(case):
+    moduli, n = case
+    got = _legendre(moduli, n)
+    assert got == oracle_legendre(moduli, n)
+    if n <= ORACLE_REACH:
+        assert got == oracle_count(moduli, n)
+    if len(moduli) <= 12:
+        assert got == unpruned_legendre(moduli, n)
+
+
+@pytest.mark.parametrize("moduli", [PRIMES[:12], LEGENDRE_BASES[-1]])
+def test_legendre_at_every_product_of_one_or_two_moduli(moduli):
+    # At such an n a table entry or a walk quotient equals its bound.
+    for r in (1, 2):
+        for s in combinations(moduli, r):
+            assert _legendre(moduli, prod(s)) == oracle_count(moduli, prod(s))
+
+
+@pytest.mark.parametrize("moduli, n", [
+    (PRIMES[:8], 10**6), (PRIMES[:8], 30), ((4, 7, 9, 11, 13, 17, 25), 10**5),
+])
+def test_signed_products_table(moduli, n):
+    t, pos, neg = _signed_products(moduli, n)
+    assert t == len(moduli)
+    subsets = [s for r in range(t + 1) for s in combinations(moduli, r)]
+    assert pos == sorted(prod(s) for s in subsets if len(s) % 2 == 0 and prod(s) <= n)
+    assert neg == sorted(prod(s) for s in subsets if len(s) % 2 == 1 and prod(s) <= n)
+
+
+@pytest.mark.parametrize("k, m, K", [(18, 61, 20), (18, 7, 5), (20, 71, 23), (20, 3, 1)])
+def test_legendre_closed_form_at_18_and_20_primes(k, m, K):
+    # f(K * P / (m - 1)) is K whole intervals of prod(m' - 1, m' != m).
+    moduli = PRIMES[:16] + (59, 61, 67, 71)[:k - 16]
+    expected = K * prod(v - 1 for v in moduli if v != m)
+    assert _legendre(moduli, K * prod(moduli) // (m - 1)) == expected
+
+
+def test_legendre_table_stops_at_the_ceiling_and_walks_the_rest():
+    # 1000 primes at 10^6: the split asks for 502 table moduli, but the
+    # ceiling stops the table after 61, and the other 939 are walked.
+    # The 1000th prime is 7919 and 7927^2 > 10^6, so the survivors are 1
+    # and the primes in (7919, 10^6]: 1 + pi(10^6) - 1000.
+    moduli = make_prime_basis(1000).moduli
+    t, pos, neg = _signed_products(moduli[:502], 10**6)
+    assert (t, len(pos) + len(neg)) == (61, 64497)
+    assert _legendre(moduli, 10**6) == 1 + 78498 - 1000
+
+
+class TestAscendingModuli:
+    """Both exact counters prune on ascending moduli and reject any other
+    order rather than miscount."""
+
+    def test_legendre(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _legendre((7, 2, 3), 5)
+        assert _legendre((2, 3, 7), 5) == oracle_count((7, 2, 3), 5) == 2
+
+    def test_kernel(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _floor_counts((4, 9, 25, 7, 11, 13, 17), [25525])
+        assert _floor_counts((4, 7, 9, 11, 13, 17, 25), [25525]) == \
+            [oracle_count((4, 9, 25, 7, 11, 13, 17), 25525)] == [11055]
 
 
 class TestReflection:
