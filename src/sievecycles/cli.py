@@ -246,7 +246,9 @@ def _load_wheel_json(path: str, *, cap: int) -> Wheel:
         period = data["result"]["period"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} does not look like wheel JSON: {exc}") from None
-    basis = make_basis(moduli) if moduli else CoprimeBasis(())
+    if not isinstance(moduli, list):
+        raise ValueError(f"{path} is not a valid wheel: basis {moduli!r} is not a list")
+    basis = make_basis(moduli)
     if basis.period > cap:
         raise CapacityError(f"{path}: period {basis.period} exceeds the wheel cap "
                             f"of {cap} residue candidates")
@@ -309,14 +311,9 @@ def cmd_wheel(args) -> Report:
                   chain(_keyed(fields), ["residues:"], map(str, wheel.residues)))
 
 
-def cmd_pairs(args, *, twins: bool = False) -> Report:
+def cmd_pairs(args) -> Report:
     basis = _basis_from_args(args)
-    if twins:
-        spec = PairSpec(1, 1)
-    else:
-        if args.a < 0 or args.b < 0:
-            raise UsageError("offsets must be non-negative")
-        spec = PairSpec(args.a, args.b)
+    spec = PairSpec(args.a, args.b)
     census = pair_count(basis, spec)
     header = ["modulus", "forbidden", "factor"]
     rows = [[f.modulus, f.forbidden_count, f.factor]
@@ -331,7 +328,7 @@ def cmd_pairs(args, *, twins: bool = False) -> Report:
         result["centers"] = centers
         header, rows = ["center"], ([c] for c in centers)
         lines = chain(lines, ["centers:"], map(str, centers))
-    query = {"command": "twins" if twins else "pairs",
+    query = {"command": args.command,
              "a": spec.left_offset, "b": spec.right_offset,
              "enumerate": bool(args.enumerate)}
     return Report(query, basis.moduli, result, header, rows, lines)
@@ -474,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twins", help="census of twin survivors (a = b = 1)",
                        parents=both)
     p.add_argument("--enumerate", action="store_true")
-    p.set_defaults(func=lambda args: cmd_pairs(args, twins=True))
+    p.set_defaults(func=cmd_pairs, a=1, b=1)
 
     p = sub.add_parser("cycles", help="equal-count subdivision for one modulus",
                        parents=both)

@@ -263,8 +263,6 @@ def _phi(n: int, a: int, kernel: _PhiKernel) -> int:
     value = q * per_period + cum[r]
     for i in range(c, a):
         d = n // moduli[i]
-        if not d:
-            break  # moduli ascend, so every later quotient is 0 too
         if i == c or d < moduli[c]:
             # phi(d, i) = phi(d, c): any of moduli[c:i] exceed d
             q, r = divmod(d, period)

@@ -170,6 +170,19 @@ class TestWheelAndList:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "does not look like wheel JSON" in err
 
+    @pytest.mark.parametrize("basis", [None, 0, False, "", "235", {"2": 1}])
+    def test_from_wheel_rejects_a_basis_that_is_not_a_list(self, tmp_path, capsys,
+                                                           basis):
+        # A falsy basis must not pass for the empty one, whose wheel
+        # (period 1, residues [0]) would let every integer survive.
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"basis": basis, "result": {
+            "period": 1, "count": 1, "residues": [0]}}))
+        assert run_cli("list", "--from-wheel", str(path), "--lo", "0",
+                       "--hi", "3") == (1, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not a list" in err
+
     @pytest.mark.parametrize("argv", [("--moduli", "4,9,25"), ("--n", "0")])
     def test_from_wheel_accepts_composite_and_empty_wheels(self, tmp_path, argv):
         # Composite moduli leave survivors that share a factor with the
@@ -264,9 +277,9 @@ class TestPairsAndTwins:
         assert doc["result"]["predicted"] == 3
         assert doc["result"]["centers"] == [12, 18, 30]
 
-    def test_negative_offset_rejected(self):
-        code, _ = run_cli("pairs", "--n", "3", "--a", "-1", "--b", "1")
-        assert code == 1
+    def test_negative_offset_rejected(self, capsys):
+        assert run_cli("pairs", "--n", "3", "--a", "-1", "--b", "1") == (1, "")
+        assert capsys.readouterr().err == "error: offsets must be non-negative\n"
 
 
 class TestCyclesAndTable:
