@@ -19,8 +19,8 @@ from typing import Iterator
 
 from .errors import CapacityError
 
-# build_wheel marks one byte per candidate in [0, period): keep periods
-# below this unless the caller raises the cap explicitly.
+# A wheel or a pair-centre sieve marks one byte per candidate in one
+# period: keep periods below this unless the caller raises the cap.
 DEFAULT_WHEEL_CAP = 10**8
 
 
@@ -159,6 +159,13 @@ def survivor_flags(moduli, n: int) -> bytearray:
     return alive
 
 
+def _check_wheel_cap(period: int, cap: int) -> None:
+    """Refuse to materialize a period of more than ``cap`` candidates."""
+    if period > cap:
+        raise CapacityError(f"period {period} exceeds the wheel cap of {cap} "
+                            "residue candidates")
+
+
 def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     """Materialize one period by striking multiples of every modulus.
 
@@ -166,10 +173,7 @@ def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     evaluates arbitrarily large bases without materializing anything.
     """
     period = basis.period
-    if period > cap:
-        raise CapacityError(
-            f"period {period} exceeds the wheel cap of {cap} residue candidates"
-        )
+    _check_wheel_cap(period, cap)
     residues = tuple(compress(range(period), survivor_flags(basis.moduli, period - 1)))
     count = len(residues)
     if count != basis.survivor_count:
@@ -203,20 +207,15 @@ def extend_wheel(wheel: Wheel, m: int, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel
     residue row, the one at ``killer_index(wheel, m, a)``.  The roll is
     already increasing, so nothing is sorted.
     """
-    if m < 2:
-        raise ValueError(f"modulus {m} is smaller than 2")
+    basis = make_basis(wheel.basis.moduli + (m,))  # rejects m < 2
     if gcd(m, wheel.period) != 1:
         raise ValueError(f"{m} shares a factor with the period {wheel.period}")
-    new_period = wheel.period * m
-    if new_period > cap:
-        raise CapacityError(
-            f"period {new_period} exceeds the wheel cap of {cap} residue candidates"
-        )
+    _check_wheel_cap(basis.period, cap)
     period = wheel.period
     residues = tuple(x for k in range(m) for a in wheel.residues
                      if (x := k * period + a) % m)
-    return Wheel(basis=make_basis(wheel.basis.moduli + (m,)), period=new_period,
-                 residues=residues, count=len(residues))
+    return Wheel(basis=basis, period=basis.period, residues=residues,
+                 count=len(residues))
 
 
 def iter_survivors(wheel: Wheel, lo: int, hi: int) -> Iterator[int]:

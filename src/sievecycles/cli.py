@@ -20,6 +20,7 @@ import operator
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -27,6 +28,7 @@ from .basis import (
     DEFAULT_WHEEL_CAP,
     CoprimeBasis,
     Wheel,
+    _check_wheel_cap,
     build_wheel,
     iter_survivors,
     make_basis,
@@ -235,6 +237,24 @@ def cmd_count(args) -> Report:
                    result=result.value, method=result.method)
 
 
+@contextmanager
+def _int_str_digits(limit: int):
+    """Run the block or call under a limit of ``limit`` digits (0: none) on
+    int/str conversion; Python before 3.10.7 has no such limit to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# outside input: under Python's default digit limit an integer of a
+# million digits fails at once instead of parsing for seconds
+@_int_str_digits(getattr(sys.int_info, "default_max_str_digits", 0))
 def _load_wheel_json(path: str, *, cap: int) -> Wheel:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -249,9 +269,7 @@ def _load_wheel_json(path: str, *, cap: int) -> Wheel:
     if not isinstance(moduli, list):
         raise ValueError(f"{path} is not a valid wheel: basis {moduli!r} is not a list")
     basis = make_basis(moduli)
-    if basis.period > cap:
-        raise CapacityError(f"{path}: period {basis.period} exceeds the wheel cap "
-                            f"of {cap} residue candidates")
+    _check_wheel_cap(basis.period, cap)
     problem = _wheel_problem(basis, period, residues)
     if problem is not None:
         raise ValueError(f"{path} is not a valid wheel: {problem}")
@@ -510,6 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# no digit limit on output: a 1250-prime period passes the default 4300
+@_int_str_digits(0)
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -517,13 +537,10 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
         _resolve_caps(args)
         return _render(args.func(args), args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -75,9 +75,7 @@ def exact_boundary(x) -> Fraction:
     silently shifted floor is exactly the failure this type exists to
     prevent.
     """
-    if isinstance(x, bool):
-        raise TypeError("boundary must be int, Fraction, or str")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         value = Fraction(x)
     elif isinstance(x, Fraction):
         value = x
@@ -93,15 +91,9 @@ def exact_boundary(x) -> Fraction:
                 f"cannot parse {x!r} as an exact rational "
                 "(<int>, <int>.<digits>, or <int>/<int>)"
             )
-        whole, decimals, denom = m.groups()
-        if decimals is not None:
-            value = Fraction(int(whole + decimals), 10 ** len(decimals))
-        elif denom is not None:
-            if int(denom) == 0:
-                raise ValueError("denominator must be positive")
-            value = Fraction(int(whole), int(denom))
-        else:
-            value = Fraction(int(whole))
+        if m[3] is not None and int(m[3]) == 0:
+            raise ValueError("denominator must be positive")
+        value = Fraction(x)
     else:
         raise TypeError("boundary must be int, Fraction, or str")
     if value < 0:

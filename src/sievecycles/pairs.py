@@ -11,8 +11,9 @@ survivors are the (1, 1) case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, build_wheel, survivor_flags
+from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, _check_wheel_cap
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,18 @@ def enumerate_pair_centers(
     *,
     cap: int = DEFAULT_WHEEL_CAP,
 ) -> tuple[int, ...]:
-    """All centers x in (0, period], by a walk over one wheel's residues.
+    """All centers x in (0, period], in increasing order, by one sieve.
 
-    Each surviving left neighbor r gives the one candidate center
-    x = r + a (mod period), which is a center iff x + b = r + a + b
-    survives too.  Neighbors wrap modulo the period, so a center near
-    either end pairs with a survivor from the adjacent copy of the
-    pattern.  The result length always equals the census prediction.
+    Over flags for 0..period, every modulus m strikes the two classes a
+    center must avoid, a and -b (mod m), the ones ``pair_count`` counts.
+    Neighbors wrap modulo the period, so a center near either end pairs
+    with a survivor from the adjacent copy of the pattern.  The result
+    length always equals the census prediction.
     """
-    wheel = build_wheel(basis, cap=cap)
-    period = wheel.period
-    alive = survivor_flags(basis.moduli, period - 1)
-    a, b = spec.left_offset, spec.right_offset
-    return tuple(sorted(
-        (r + a - 1) % period + 1 for r in wheel.residues
-        if alive[(r + a + b) % period]
-    ))
+    period = basis.period
+    _check_wheel_cap(period, cap)
+    alive = bytearray([1]) * (period + 1)
+    for m in basis:
+        for r in {spec.left_offset % m, -spec.right_offset % m}:
+            alive[r::m] = bytes(len(range(r, period + 1, m)))
+    return tuple(compress(range(1, period + 1), alive[1:]))

@@ -45,8 +45,6 @@ from .ring import (
     reconstruct,
 )
 
-DEPTHS = ("small", "standard", "deep")
-
 
 @dataclass(frozen=True)
 class DepthParams:
@@ -65,6 +63,7 @@ _PARAMS = {
     "deep": DepthParams(samples=1000, max_primes=8, exhaustive_cap=6 * 10**5,
                         pair_cap=3 * 10**5, boundary_cap=10**6),
 }
+DEPTHS = tuple(_PARAMS)
 
 # Pairwise-coprime composite bases exercising the non-prime generality.
 _COMPOSITE_POOL = (

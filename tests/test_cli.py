@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from math import prod
+from pathlib import Path
 
 import pytest
 
-from sievecycles import cli
+from sievecycles import cli, make_prime_basis
 from sievecycles.verify import CheckResult
 
 
@@ -429,3 +435,69 @@ class TestNegativeCaps:
         code, _ = run_cli("wheel", "--n", "3", "--wheel-cap", "0")
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, under Python's default digit limit."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    return subprocess.run([sys.executable, "-m", "sievecycles.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int/str conversion")
+class TestIntegerSize:
+    # 1250 primes have a period of more than 4300 digits, Python's default
+    # limit on converting an int to or from text
+    @pytest.mark.parametrize("argv", [
+        ("table", "--n", "1250"),
+        ("table", "--n", "1250", "--format", "csv"),
+        ("table", "--n", "1250", "--json"),
+        ("ring", "--n", "1250", "--x", "1000003", "--inverse"),
+    ])
+    def test_outputs_have_no_digit_limit(self, argv):
+        done = run_cli_process(*argv)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_pair_census_of_1250_primes(self):
+        done = run_cli_process("pairs", "--n", "1250")
+        assert (done.returncode, done.stderr) == (0, "")
+        predicted = prod(p - 2 for p in make_prime_basis(1250) if p != 2)
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert len(str(predicted)) > 4300
+            assert done.stdout.splitlines()[0] == f"predicted: {predicted}"
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_wheel_file_keeps_the_default_limit(self, tmp_path):
+        # lifted, int() alone would spend seconds on this one period
+        path = tmp_path / "w.json"
+        path.write_text('{"basis": [2, 3], "result": {"period": 1'
+                        + "0" * 10**6 + ', "residues": [1, 5]}}')
+        start = time.perf_counter()
+        done = run_cli_process("list", "--from-wheel", str(path))
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.count("\n") == 1 and "digits" in done.stderr
+
+    def test_main_restores_the_limit(self):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(5000)
+            assert run_cli("pairs", "--n", "3")[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_runs_where_python_has_no_digit_limit(monkeypatch, tmp_path):
+    # Python releases before 3.10.7 have neither limit nor setter
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    path = tmp_path / "w.json"
+    path.write_text(run_cli("wheel", "--n", "3", "--json")[1])
+    assert run_cli("list", "--from-wheel", str(path), "--hi", "10") == (0, "1\n7\n")

@@ -1,6 +1,8 @@
+from math import prod
+
 import pytest
 from conftest import oracle_centers
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sievecycles import (
@@ -17,6 +19,21 @@ B3 = make_prime_basis(3)
 B4 = make_prime_basis(4)
 
 TWIN4_CENTERS = (12, 18, 30, 42, 60, 72, 102, 108, 138, 150, 168, 180, 192, 198, 210)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A basis small enough for the oracle, and offsets in [0, 3 * period]:
+    any value, or a multiple of the period or of one modulus."""
+    moduli = draw(st.sampled_from(
+        [make_prime_basis(n).moduli for n in range(6)] + [(4, 9, 25), (6, 35)]))
+    period = prod(moduli)
+
+    def offset():
+        step = draw(st.sampled_from((1, period) + moduli))
+        return step * draw(st.integers(0, 3 * period // step))
+
+    return moduli, offset(), offset()
 
 
 class TestPairCount:
@@ -79,11 +96,23 @@ class TestEnumerateCenters:
         with pytest.raises(CapacityError):
             enumerate_pair_centers(make_prime_basis(12), PairSpec(1, 1))
 
-    def test_matches_independent_oracle(self):
-        for moduli, a, b in [((2, 3, 5), 1, 1), ((2, 3, 5, 7), 4, 10),
-                             ((4, 9, 25), 3, 7), ((20, 2783), 1, 1)]:
-            got = enumerate_pair_centers(make_basis(moduli), PairSpec(a, b))
-            assert list(got) == oracle_centers(moduli, a, b)
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_cases())
+    @example(((2, 3, 5), 1, 1))
+    @example(((2, 3, 5, 7), 4, 10))
+    @example(((4, 9, 25), 3, 7))
+    @example(((20, 2783), 1, 1))
+    @example(((2, 3, 5, 7, 11), 0, 0))
+    @example(((2, 3, 5, 7, 11), 2310, 6930))
+    @example(((), 0, 0))
+    def test_matches_independent_oracle(self, case):
+        """Every center, in order, at a period cap of exactly the period."""
+        moduli, a, b = case
+        basis, spec = make_basis(moduli), PairSpec(a, b)
+        got = enumerate_pair_centers(basis, spec, cap=basis.period)
+        assert list(got) == oracle_centers(moduli, a, b)
+        with pytest.raises(CapacityError):
+            enumerate_pair_centers(basis, spec, cap=basis.period - 1)
 
 
 BASES = st.sampled_from([
