@@ -10,11 +10,12 @@ n primes, but any pairwise-coprime moduli (including composites such as
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log10, prod
 from typing import Iterator
 
 from .errors import CapacityError
@@ -159,11 +160,32 @@ def survivor_flags(moduli, n: int) -> bytearray:
     return alive
 
 
+# Past this many digits an error message gives a period's length, not its
+# digits: the first 50000 primes make a period of 265,460 digits.
+_SHOWN_DIGITS = 40
+
+
+def _shown(period: int) -> str:
+    """``period`` for an error message: in full, or its digit count."""
+    # floor(bits * log10(2)) is the digit count or one less; the
+    # comparison settles which, without converting the whole period.
+    digits = int(period.bit_length() * log10(2))
+    digits += period >= 10**digits
+    if digits <= _SHOWN_DIGITS:
+        return f"period {period}"
+    return f"a period of {digits} digits"
+
+
 def _check_wheel_cap(period: int, cap: int) -> None:
-    """Refuse to materialize a period of more than ``cap`` candidates."""
+    """Refuse to materialize a period of more than ``cap`` candidates, or
+    of more than one flag array can index (one flag per candidate, and
+    one more for a pair sieve)."""
     if period > cap:
-        raise CapacityError(f"period {period} exceeds the wheel cap of {cap} "
+        raise CapacityError(f"{_shown(period)} exceeds the wheel cap of {cap} "
                             "residue candidates")
+    if period >= sys.maxsize:
+        raise CapacityError(f"{_shown(period)} exceeds {sys.maxsize - 1}, the "
+                            "most residue candidates one flag array can index")
 
 
 def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:

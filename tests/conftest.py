@@ -21,6 +21,24 @@ def oracle_count(moduli, x) -> int:
     return sum(1 for a in range(1, n + 1) if oracle_survives(moduli, a))
 
 
+def survivors_between(moduli, lo: int, hi: int) -> int:
+    """Survivors a with lo < a <= hi, by trial division."""
+    return sum(1 for a in range(lo + 1, hi + 1) if oracle_survives(moduli, a))
+
+
+def count_near_subdivision(moduli, m: int, k: int, y) -> int:
+    """f(y) for y near the boundary B = k * period / (m - 1), for any
+    number of moduli.
+
+    f(B) is k whole intervals of prod(m' - 1, m' != m) survivors, the
+    paper's equal-count law; trial division over the few integers between
+    B and y does the rest.
+    """
+    lo, hi = floor(Fraction(k * prod(moduli), m - 1)), floor(Fraction(y))
+    base = k * prod(v - 1 for v in moduli if v != m)
+    return base + survivors_between(moduli, lo, hi) - survivors_between(moduli, hi, lo)
+
+
 def oracle_legendre(moduli, n: int) -> int:
     """Signed sum of n // d over the squarefree products d <= n of the
     ascending ``moduli``: one recursive call per product, pruned once

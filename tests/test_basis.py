@@ -16,6 +16,7 @@ from sievecycles import (
     make_basis,
     make_prime_basis,
 )
+from sievecycles.basis import _SHOWN_DIGITS, _shown
 
 # One full period of survivors for {2,3,5,7}; includes 109 and 137.
 WHEEL4 = (
@@ -116,6 +117,11 @@ class TestBuildWheel:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             build_wheel(make_prime_basis(4), cap=100)
+
+    def test_a_cap_past_the_index_range_still_refuses(self):
+        # 17 primes: a period of 22 digits, past any flag array's index
+        with pytest.raises(CapacityError, match="index"):
+            build_wheel(make_prime_basis(17), cap=10**30)
 
     def test_count_formula_various(self):
         for moduli in [(2,), (2, 3), (2, 3, 5, 7, 11), (20, 2783), (4, 9, 25)]:
@@ -255,3 +261,13 @@ def test_wheel_residues_match_oracle():
         wheel = build_wheel(make_basis(moduli))
         assert wheel.residues == tuple(
             r for r in range(wheel.period) if oracle_survives(moduli, r))
+
+
+@pytest.mark.parametrize("digits", [1, 2, 17, _SHOWN_DIGITS, _SHOWN_DIGITS + 1, 400, 4000])
+def test_a_long_period_is_shown_by_its_digit_count(digits):
+    for period in (10**(digits - 1), 10**digits - 1, 3 * 10**(digits - 1) + 7):
+        shown = _shown(period)
+        if digits <= _SHOWN_DIGITS:
+            assert shown == f"period {period}"
+        else:
+            assert shown == f"a period of {digits} digits"

@@ -437,6 +437,31 @@ class TestNegativeCaps:
         assert "cap" in capsys.readouterr().err
 
 
+class TestCapsPastTheIndexRange:
+    """A cap above sys.maxsize cannot buy a flag array longer than an index
+    reaches: each run is refused before anything is allocated."""
+
+    HUGE = str(10**30)
+
+    @pytest.mark.parametrize("argv", [
+        ("wheel", "--n", "17", "--wheel-cap", HUGE),
+        ("twins", "--n", "17", "--enumerate", "--wheel-cap", HUGE),
+        ("count", "--n", "3", "--x", str(10**26), "--method", "oracle",
+         "--oracle-cap", HUGE),
+    ])
+    def test_capacity_error(self, argv, capsys):
+        assert run_cli(*argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"exceeds {sys.maxsize - 1}," in err
+
+    def test_a_long_period_is_given_by_its_digit_count(self, capsys):
+        assert run_cli("wheel", "--n", "30") == (2, "")
+        digits = len(str(make_prime_basis(30).period))
+        assert capsys.readouterr().err == (
+            f"capacity error: a period of {digits} digits exceeds the wheel cap "
+            "of 100000000 residue candidates\n")
+
+
 def run_cli_process(*argv):
     """The CLI in a fresh interpreter, under Python's default digit limit."""
     src = Path(__file__).resolve().parents[1] / "src"

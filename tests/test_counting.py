@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, prod
+from unittest.mock import patch
 
 import pytest
-from conftest import oracle_count, oracle_legendre, oracle_survives
+from conftest import count_near_subdivision, oracle_count, oracle_legendre
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from sievecycles import (
     phi_identity_check,
     subdivision,
 )
+from sievecycles import counting
 from sievecycles.counting import (
     _TABLE_LIMIT,
     _floor_counts,
@@ -86,6 +89,10 @@ class TestSieveOracle:
     def test_cap(self):
         with pytest.raises(CapacityError):
             count_by_sieve(B4, 10**9, cap=10**6)
+
+    def test_a_cap_past_the_index_range_still_refuses(self):
+        with pytest.raises(CapacityError, match="index"):
+            count_by_sieve(B4, sys.maxsize, cap=10**30)
 
     def test_method_tag(self):
         assert count_by_sieve(B4, 10).method == "oracle"
@@ -224,22 +231,6 @@ KERNEL_BASES = [
     (65537, 65539),
 ]
 ORACLE_REACH = 2 * 10**4
-
-
-def survivors_between(moduli, lo: int, hi: int) -> int:
-    """Survivors a with lo < a <= hi, by trial division."""
-    return sum(1 for a in range(lo + 1, hi + 1) if oracle_survives(moduli, a))
-
-
-def count_near_subdivision(moduli, m: int, k: int, y) -> int:
-    """f(y) for y near the boundary B = k * period / (m - 1).
-
-    f(B) is k whole intervals of prod(m' - 1, m' != m) survivors; trial
-    division over the few integers between B and y does the rest.
-    """
-    lo, hi = floor(Fraction(k * prod(moduli), m - 1)), floor(y)
-    base = k * prod(v - 1 for v in moduli if v != m)
-    return base + survivors_between(moduli, lo, hi) - survivors_between(moduli, hi, lo)
 
 
 @st.composite
@@ -392,9 +383,98 @@ def test_meissel_closed_form_at_25_primes(m, k):
     assert count_meissel(basis, Fraction(k * basis.period, m - 1)).value == expected
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+# The kernel's memo is on while it has room, stores at most _MEMO_LIMIT
+# nodes, and hands the rest of the peel to ``_peel`` once its room runs
+# out.  Each setting forces one side of that rule; no count may depend on
+# which side ran.
+MEMO_SETTINGS = {
+    "default": {"_MEMO_LIMIT": counting._MEMO_LIMIT},
+    "never on": {"_MEMO_TRIAL": 0},
+    "off after 7 nodes": {"_MEMO_TRIAL": 7},
+    "full after 5 nodes": {"_MEMO_LIMIT": 5},
+}
+DIFFERENTIAL_BASES = [PRIMES[:k] for k in (1, 2, 3, 5, 8, 11, 14, 16, 18)] + [
+    (4, 9, 25), (20, 2783), (4, 7, 9, 11, 13, 17, 25), (6, 35, 143, 323),
+    (4, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43),
+]
+
+
+@st.composite
+def rational_point(draw, bases):
+    """(moduli, n): n = u * P / v + d for v < 40 and |d| < 50, where the
+    peel repeats residues, or anywhere in [0, 3P), where it does not."""
+    moduli = draw(st.sampled_from(bases))
+    period = prod(moduli)
+    if draw(st.booleans()):
+        v = draw(st.integers(1, 39))
+        n = draw(st.integers(0, 3 * v)) * period // v + draw(st.integers(-49, 49))
+    else:
+        n = draw(st.integers(0, 3 * period - 1))
+    return moduli, max(n, 0)
+
+
+def kernel_against_legendre(moduli, ns, setting):
+    expected = [_legendre(moduli, y) for y in ns]
+    for y, want in zip(ns, expected):
+        if y <= ORACLE_REACH:
+            assert oracle_count(moduli, y) == want
+    with patch.multiple(counting, **MEMO_SETTINGS[setting]):
+        assert _floor_counts(moduli, ns) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_point(DIFFERENTIAL_BASES), st.sampled_from(sorted(MEMO_SETTINGS)))
+def test_kernel_matches_legendre_at_rational_and_random_points(case, setting):
+    moduli, n = case
+    # Two ns in one call share one memo.
+    kernel_against_legendre(moduli, [n, n // moduli[-1]], setting)
+
+
+@settings(max_examples=5, deadline=None)
+@given(rational_point([PRIMES[:16] + (59, 61, 67, 71), make_prime_basis(22).moduli]),
+       st.sampled_from(["default", "never on"]))
+def test_kernel_matches_legendre_at_20_and_22_primes(case, setting):
+    moduli, n = case
+    kernel_against_legendre(moduli, [n], setting)
+
+
+def test_memo_is_not_shared_between_calls():
+    # Same table, same n, a different modulus at level 7: any node kept
+    # from the first basis would miscount the second.
+    first = PRIMES[:12]
+    second = PRIMES[:6] + PRIMES[7:13]
+    for moduli in (first, second, first):
+        assert _floor_counts(moduli, [10**6]) == [_legendre(moduli, 10**6)]
+
+
+@pytest.mark.parametrize("k, m, K, delta", [
+    (100, 3, 1, 0), (100, 97, 32, -7), (100, 541, 300, 11), (100, 2, 1, -1),
+    (1000, 3, 1, 2), (1000, 13, 5, 4), (1000, 97, 48, -3), (1000, 7919, 3959, 0),
+])
+def test_closed_form_at_100_and_1000_primes(k, m, K, delta):
+    # Far out of reach of inclusion-exclusion; the independent route is the
+    # equal-count law plus trial division of the gap.  The peel nests up to
+    # k levels deep, past Python's default recursion limit of 1000 frames.
+    basis = make_prime_basis(k)
+    x = Fraction(K * basis.period, m - 1) + delta
+    expected = count_near_subdivision(basis.moduli, m, K, x)
+    assert count_meissel(basis, x).value == expected
+    assert count_periodic(basis, 5 * basis.period + x).value == \
+        5 * basis.survivor_count + expected
+    assert count_generalized_meissel(basis, m, x).value == expected
+
+
+def test_subdivision_of_100_primes():
+    # subdivision checks its own equal-count law at all 96 boundaries.
+    report = subdivision(make_prime_basis(100), 97)
+    assert len(report.intervals) == 96
+
+
 # Legendre's flat table of signed products and its walk over the larger
 # moduli, against the conftest oracles and an unpruned subset sum.
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 LEGENDRE_BASES = [PRIMES[:k] for k in range(len(PRIMES) + 1)] + [
     (4, 9, 25), (20, 2783), (4, 7, 9, 11, 13, 17, 25),
     (4, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 53),
