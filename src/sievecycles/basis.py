@@ -11,7 +11,7 @@ n primes, but any pairwise-coprime moduli (including composites such as
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -108,28 +108,27 @@ class Wheel:
 
 
 def _first_primes(n: int) -> tuple[int, ...]:
-    """First n primes via a small bootstrap sieve."""
-    if n == 0:
-        return ()
-    # Growing upper bound; n log n overshoot is cheap at bootstrap scale.
-    limit = 16
-    while True:
-        flags = bytearray([1]) * (limit + 1)
-        flags[0] = flags[1] = 0
-        for p in range(2, isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-        primes = [i for i, f in enumerate(flags) if f]
-        if len(primes) >= n:
-            return tuple(primes[:n])
-        limit *= 4
+    """The first n primes, by sieving with the primes already found.
+
+    Once every prime <= L is known, the survivors of those primes in
+    (L, 4L] are exactly the primes there: for L >= 4 a composite <= 4L
+    has a prime factor <= 2 * sqrt(L) <= L, and only the primes up to
+    that bound need strike.  So each round takes L four times further.
+    """
+    primes, limit = [2, 3], 4
+    while len(primes) < n:
+        top = 4 * limit
+        alive = survivor_flags(primes[:bisect_right(primes, isqrt(top))], top)
+        primes += compress(range(limit + 1, top + 1), alive[limit + 1:])
+        limit = top
+    return tuple(primes[:n])
 
 
 def make_prime_basis(n: int) -> CoprimeBasis:
     """Basis of the first ``n`` primes (n = 0 gives the empty basis).
 
     Practical cap: n in the thousands is instant; beyond ~10**6 the
-    bootstrap sieve's memory dominates.
+    prime sieve's memory dominates.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -152,12 +151,18 @@ def is_survivor(basis: CoprimeBasis, x: int) -> bool:
     return all(x % m != 0 for m in basis.moduli)
 
 
+def _strike(n: int, classes) -> bytearray:
+    """One flag per integer 0..n: 0 where x = r (mod m) for some (r, m) in
+    ``classes``, 1 elsewhere."""
+    alive = bytearray([1]) * (n + 1)
+    for r, m in classes:
+        alive[r::m] = bytes(len(range(r, n + 1, m)))
+    return alive
+
+
 def survivor_flags(moduli, n: int) -> bytearray:
     """One flag per integer 0..n: 1 where no modulus divides it."""
-    alive = bytearray([1]) * (n + 1)
-    for m in moduli:
-        alive[0::m] = bytes(len(range(0, n + 1, m)))
-    return alive
+    return _strike(n, ((0, m) for m in moduli))
 
 
 # Past this many digits an error message gives a period's length, not its

@@ -537,6 +537,12 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
         _resolve_caps(args)
         return _render(args.func(args), args, out)
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  Point stdout at devnull,
+        # so the interpreter's last flush cannot raise again, and exit 1
+        # quietly, as Python does on a closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, floor
-from typing import NamedTuple
 
 from .basis import CoprimeBasis, survivor_flags
 from .errors import CapacityError
@@ -233,65 +232,31 @@ _ENTRIES_PER_LEAF = 16
 
 
 # The phi kernel's memo (see ``_phi``) pays only where residues repeat.
-# With it on, a node costs about 1.8 times as much as in the plain peel
+# With it on, a node costs about 1.8 times as much as with it off
 # (CPython 3.11 on x86-64, 22 primes at random n below the period, where
 # nothing repeats), so the memo is on only while it has room.  A call
-# whose plain peel ``_table_prefix`` estimates at fewer than _MEMO_TRIAL
-# leaves (2^(k - c) per n) has too few nodes to repeat and gets none.  Any
-# other call starts with room for _MEMO_TRIAL nodes; each node stored
-# takes one, and each hit gives one back.  Where nothing repeats the memo
-# thus turns itself off after _MEMO_TRIAL nodes; at rational points of
-# the period hits keep pace with stores.  It never stores more than
-# _MEMO_LIMIT nodes in one call: near the period of 1000 primes a node
-# holds ints of thousands of digits, and the 94,000 nodes of one
-# subdivision take about 140 MiB.
+# whose walk ``_table_prefix`` estimates at fewer than _MEMO_TRIAL leaves
+# (2^(k - c) per n) has too few nodes to repeat and gets none.  Any other
+# call starts with room for _MEMO_TRIAL nodes; each node stored takes
+# one, and each hit gives one back.  Where nothing repeats the memo thus
+# turns itself off after _MEMO_TRIAL nodes, for good, since only a hit
+# gives room back; at rational points of the period hits keep pace with
+# stores.  It never stores more than _MEMO_LIMIT nodes in one call: near
+# the period of 1000 primes a node holds ints of thousands of digits, and
+# the 94,000 nodes of one subdivision take about 140 MiB.
 _MEMO_TRIAL = 256
 _MEMO_LIMIT = 1 << 17
 
 
-class _PhiKernel(NamedTuple):
-    """Per-call state of ``_phi`` and ``_peel`` over ascending, pairwise-coprime
-    moduli."""
-
-    moduli: tuple[int, ...]
-    c: int                      # moduli resolved by the table
-    periods: list[int]          # periods[a] = P_a, the product of moduli[:a]
-    survivors: list[int]        # survivors[a] = S_a, survivors in one P_a
-    cum: array                  # cum[r]: survivors in 1..r, for r < P_c
-
-
-def _peel(n: int, a: int, kernel: _PhiKernel) -> int:
-    """phi(n, a) for a >= c by the plain peel, with no period and no memo.
-
-    Unrolled over a, the peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1)
-    is phi(n, a) = phi(n, c) - sum(phi(n // m_i, i) for c <= i < a): each
-    node adds its table value and hands its children on with the opposite
-    sign, so no node waits for its children.  Moduli above a child's
-    argument strike nothing, so it starts at the prefix of moduli <= it.
-    """
-    moduli, c, periods, survivors, cum = kernel
-    period, per_period = periods[c], survivors[c]
-    lowest = moduli[c] if c < len(moduli) else 0  # any child below it is a leaf
-    total, todo = 0, [(n, a, 1)]
-    while todo:
-        n, a, sign = todo.pop()
-        q, r = divmod(n, period)
-        value = q * per_period + cum[r]
-        for i in range(c, a):
-            d = n // moduli[i]
-            if i == c or d < lowest:
-                q, r = divmod(d, period)
-                value -= q * per_period + cum[r]
-            else:
-                j = i if d >= moduli[i - 1] else bisect_right(moduli, d, c, i)
-                todo.append((d, j, -sign))
-        total += sign * value
-    return total
-
-
-def _phi(ns: list[int], kernel: _PhiKernel) -> list[int]:
+def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
+         survivors: list[int], cum: array) -> list[int]:
     """phi(n, a): how many of 1..n no modulus among ``moduli[:a]`` divides,
     for every n in ``ns`` and a = len(moduli).
+
+    ``moduli`` ascend and are pairwise coprime; the first c of them are
+    resolved by the table ``cum``, where cum[r] counts the survivors in
+    1..r for r < P_c; periods[a] = P_a is the product of moduli[:a], and
+    survivors[a] = S_a the survivors in one P_a.
 
     The peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1) is walked
     down its spine (n, a), (n, a - 1), ... to the table, one child
@@ -309,17 +274,16 @@ def _phi(ns: list[int], kernel: _PhiKernel) -> list[int]:
 
     The last two pay only where residues repeat.  Where they do not, as at
     a random n below the period, the memo runs out of room (see
-    _MEMO_TRIAL), and every node still to open goes to ``_peel`` instead,
-    at the cost of the plain peel.  Open nodes wait on an explicit stack,
-    so the depth of the tree (up to one level per modulus) never meets
-    Python's recursion limit.
+    _MEMO_TRIAL), and the walk goes on with neither: no lookup, no
+    reduction, nothing kept.  Open nodes wait on an explicit stack, so the
+    depth of the tree (up to one level per modulus) never meets Python's
+    recursion limit.
     """
-    moduli, c, periods, survivors, cum = kernel
     period, per_period = periods[c], survivors[c]
     lowest = moduli[c] if c < len(moduli) else 0  # any child below it is a leaf
-    memo = [{} for _ in periods]
     leaves = len(ns) << max(len(moduli) - c, 0)
     room = _MEMO_TRIAL if leaves >= _MEMO_TRIAL else 0
+    memo = [{} for _ in periods] if room else []
     left = _MEMO_LIMIT
     frames = []   # the open nodes below the one in hand
     pending = []  # (a, r, value so far) of each node (r, a) to store on close
@@ -328,9 +292,6 @@ def _phi(ns: list[int], kernel: _PhiKernel) -> list[int]:
         i = len(moduli)
         if i > c and n < moduli[i - 1]:
             i = bisect_right(moduli, n, c, i)
-        if room <= 0:
-            counts.append(_peel(n, i, kernel))
-            continue
         # The node in hand: spine residue n at level i, its value so far,
         # and where its spine nodes start in ``pending``.
         value, start = 0, 0
@@ -356,25 +317,25 @@ def _phi(ns: list[int], kernel: _PhiKernel) -> list[int]:
                     value -= q * per_period + cum[r]
                     continue
                 j = i if d >= moduli[i - 1] else bisect_right(moduli, d, c, i)
-                if room <= 0:
-                    value -= _peel(d, j, kernel)
-                elif (known := memo[j].get(d)) is not None:
+                if room > 0 and (known := memo[j].get(d)) is not None:
                     value -= known
                     room += 1
-                else:
-                    frames.append((n, i, value, start))
-                    start = len(pending)
+                    continue
+                frames.append((n, i, value, start))
+                start = len(pending)
+                if room > 0:
                     pending.append((j, d, 0))
-                    n, i, value = d, j, 0
+                n, i, value = d, j, 0
             q, r = divmod(n, period)
             value += q * per_period + cum[r]
-            for a, r, before in pending[start:]:
-                if room <= 0 or not left:
-                    break
-                memo[a][r] = value - before
-                room -= 1
-                left -= 1
-            del pending[start:]
+            if len(pending) > start:
+                for a, r, before in pending[start:]:
+                    if room <= 0 or not left:
+                        break
+                    memo[a][r] = value - before
+                    room -= 1
+                    left -= 1
+                del pending[start:]
             if not frames:
                 break
             done = value
@@ -428,8 +389,7 @@ def _table_counts(moduli: tuple[int, ...], ns: list[int], c: int) -> list[int]:
     periods += [top + 1] * (len(moduli) + 1 - len(periods))
     flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r
-    return _phi(ns, _PhiKernel(moduli, c, periods, survivors,
-                               array("I", accumulate(flags))))
+    return _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)))
 
 
 def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
@@ -458,8 +418,8 @@ def count_meissel(basis: CoprimeBasis, x) -> CountResult:
     residues.  Near a rational point u * P / v + delta of the period the
     cost is polynomial, about k * v * (|delta| + 1) nodes for k moduli (25
     primes at P // 3 take about 2 ms, 1000 primes about 25 ms); at a
-    random x near the period it is the plain peel's 2^(k - c) leaves, c
-    being the moduli in the table (22 primes about 60 ms, and each further
+    random x near the period the memo turns itself off, and the walk has
+    the peel's 2^(k - c) leaves, c being the moduli in the table (22 primes about 60 ms, and each further
     prime doubles that).
     """
     [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])

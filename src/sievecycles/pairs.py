@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, _check_wheel_cap
+from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, _check_wheel_cap, _strike
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,11 @@ class PairCensus:
     per_modulus_factors: tuple[PairFactor, ...]
 
 
+def _forbidden(m: int, spec: PairSpec) -> set[int]:
+    """The residues mod m a center must avoid: a mod m and -b mod m."""
+    return {spec.left_offset % m, -spec.right_offset % m}
+
+
 def pair_count(basis: CoprimeBasis, spec: PairSpec) -> PairCensus:
     """Predicted centers per period from per-modulus forbidden residues.
 
@@ -52,7 +57,7 @@ def pair_count(basis: CoprimeBasis, spec: PairSpec) -> PairCensus:
     factors = []
     predicted = 1
     for m in basis:
-        forbidden = {spec.left_offset % m, (-spec.right_offset) % m}
+        forbidden = _forbidden(m, spec)
         factor = m - len(forbidden)
         factors.append(PairFactor(modulus=m, forbidden_count=len(forbidden),
                                   factor=factor))
@@ -77,8 +82,5 @@ def enumerate_pair_centers(
     """
     period = basis.period
     _check_wheel_cap(period, cap)
-    alive = bytearray([1]) * (period + 1)
-    for m in basis:
-        for r in {spec.left_offset % m, -spec.right_offset % m}:
-            alive[r::m] = bytes(len(range(r, period + 1, m)))
+    alive = _strike(period, ((r, m) for m in basis for r in _forbidden(m, spec)))
     return tuple(compress(range(1, period + 1), alive[1:]))

@@ -16,7 +16,7 @@ from sievecycles import (
     make_basis,
     make_prime_basis,
 )
-from sievecycles.basis import _SHOWN_DIGITS, _shown
+from sievecycles.basis import _SHOWN_DIGITS, _first_primes, _shown
 
 # One full period of survivors for {2,3,5,7}; includes 109 and 137.
 WHEEL4 = (
@@ -49,6 +49,15 @@ class TestMakePrimeBasis:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             make_prime_basis(-1)
+
+    def test_first_primes_against_trial_division(self):
+        # Rounds end at 4^k; the 1900 primes below 4^7 = 16384 put the
+        # edge of every round up to that one inside n = 0..2000.
+        primes = [p for p in range(2, 17390)
+                  if all(p % d for d in range(2, int(p**0.5) + 1))]
+        assert len(primes) == 2000
+        for n in range(2001):
+            assert _first_primes(n) == tuple(primes[:n])
 
 
 class TestMakeBasis:

@@ -462,14 +462,39 @@ class TestCapsPastTheIndexRange:
             "of 100000000 residue candidates\n")
 
 
-def run_cli_process(*argv):
-    """The CLI in a fresh interpreter, under Python's default digit limit."""
+def cli_process_env():
+    """The environment of a fresh CLI process, under Python's default digit
+    limit."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     env.pop("PYTHONINTMAXSTRDIGITS", None)
+    return env
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, under Python's default digit limit."""
     return subprocess.run([sys.executable, "-m", "sievecycles.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=cli_process_env(), capture_output=True, text=True,
+                          timeout=120)
+
+
+# Each writes far more than a pipe holds, so it is still writing when the
+# reader goes away.
+@pytest.mark.parametrize("argv", [
+    ("list", "--n", "3", "--lo", "0", "--hi", "100000000"),
+    ("list", "--n", "3", "--lo", "0", "--hi", "100000000", "--json"),
+    ("wheel", "--n", "7"),
+    ("twins", "--n", "8", "--enumerate"),
+])
+def test_output_closed_early_exits_1_quietly(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "sievecycles.cli", *argv],
+                            env=cli_process_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

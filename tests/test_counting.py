@@ -35,6 +35,17 @@ from sievecycles.counting import (
     _table_prefix,
 )
 
+# The kernel's memo is on while it has room and stores at most _MEMO_LIMIT
+# nodes; once its room runs out, the walk goes on with no lookup, no
+# period reduction and no store.  Each setting forces one side of that
+# rule; no count may depend on which side ran.
+MEMO_SETTINGS = {
+    "default": {"_MEMO_LIMIT": counting._MEMO_LIMIT},
+    "never on": {"_MEMO_TRIAL": 0},
+    "off after 7 nodes": {"_MEMO_TRIAL": 7},
+    "full after 5 nodes": {"_MEMO_LIMIT": 5},
+}
+
 B3 = make_prime_basis(3)
 B4 = make_prime_basis(4)
 
@@ -124,13 +135,15 @@ class TestMeissel:
     def test_three_intervals(self):
         assert count_meissel(B4, 105).value == 24
 
-    def test_more_moduli_than_the_recursion_limit(self):
+    @pytest.mark.parametrize("setting", sorted(MEMO_SETTINGS))
+    def test_more_moduli_than_the_recursion_limit(self, setting):
         # Moduli above x strike nothing, so the peel never descends through
-        # them one frame each.
+        # them one frame each, with the memo on or off.
         basis = make_prime_basis(1200)
-        assert count_meissel(basis, 10**5).value == count_by_sieve(basis, 10**5).value
-        assert count_generalized_meissel(basis, 2, 10**5).value == \
-            count_by_sieve(basis, 10**5).value
+        want = count_by_sieve(basis, 10**5).value
+        with patch.multiple(counting, **MEMO_SETTINGS[setting]):
+            assert count_meissel(basis, 10**5).value == want
+            assert count_generalized_meissel(basis, 2, 10**5).value == want
 
     def test_recursion_identity(self):
         x = Fraction(421, 3)
@@ -386,16 +399,6 @@ def test_meissel_closed_form_at_25_primes(m, k):
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-# The kernel's memo is on while it has room, stores at most _MEMO_LIMIT
-# nodes, and hands the rest of the peel to ``_peel`` once its room runs
-# out.  Each setting forces one side of that rule; no count may depend on
-# which side ran.
-MEMO_SETTINGS = {
-    "default": {"_MEMO_LIMIT": counting._MEMO_LIMIT},
-    "never on": {"_MEMO_TRIAL": 0},
-    "off after 7 nodes": {"_MEMO_TRIAL": 7},
-    "full after 5 nodes": {"_MEMO_LIMIT": 5},
-}
 DIFFERENTIAL_BASES = [PRIMES[:k] for k in (1, 2, 3, 5, 8, 11, 14, 16, 18)] + [
     (4, 9, 25), (20, 2783), (4, 7, 9, 11, 13, 17, 25), (6, 35, 143, 323),
     (4, 7, 9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43),
