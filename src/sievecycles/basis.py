@@ -14,8 +14,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import gcd, isqrt, log10, prod
+from operator import add, mod
 from typing import Iterator
 
 from .errors import CapacityError
@@ -231,34 +232,54 @@ def extend_wheel(wheel: Wheel, m: int, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel
 
     Rolls m copies of the current wheel in order, K * period + a for K in
     [0, m) and each residue a, and drops every entry that m divides: one per
-    residue row, the one at ``killer_index(wheel, m, a)``.  The roll is
-    already increasing, so nothing is sorted.
+    residue row, the one at ``killer_index(wheel, m, a)``.  So row K drops
+    exactly the residues of class -K * period (mod m).  Each residue's class
+    is taken once, one byte each; every row is then one ``translate`` of
+    those bytes into a keep mask (0 only at the row's class) and one
+    ``compress``, so no Python code runs per entry.  A class fits in a byte
+    only for m <= 256; a larger m tests each entry in Python instead.  The
+    rows come out increasing, so nothing is sorted.
     """
     basis = make_basis(wheel.basis.moduli + (m,))  # rejects m < 2
     if gcd(m, wheel.period) != 1:
         raise ValueError(f"{m} shares a factor with the period {wheel.period}")
     _check_wheel_cap(basis.period, cap)
-    period = wheel.period
-    residues = tuple(x for k in range(m) for a in wheel.residues
-                     if (x := k * period + a) % m)
+    period, old = wheel.period, wheel.residues
+    if m > 256:
+        residues = tuple(x for k in range(m) for a in old
+                         if (x := k * period + a) % m)
+    else:
+        residues = tuple(chain.from_iterable(_rows(old, period, m)))
     return Wheel(basis=basis, period=basis.period, residues=residues,
                  count=len(residues))
+
+
+def _rows(residues: tuple[int, ...], period: int, m: int) -> Iterator[Iterator[int]]:
+    """Row K of the roll, for K in [0, m) (m <= 256): the residues a whose
+    class a mod m is not -K * period mod m, each plus K * period."""
+    classes = bytes(map(mod, residues, repeat(m)))
+    keep = bytearray(b"\1") * 256
+    for k in range(m):
+        struck = -k * period % m
+        keep[struck] = 0
+        mask = classes.translate(keep)
+        keep[struck] = 1
+        yield map(add, compress(residues, mask), repeat(k * period))
 
 
 def iter_survivors(wheel: Wheel, lo: int, hi: int) -> Iterator[int]:
     """Yield every survivor in [lo, hi] in increasing order, lazily.
 
     Translates the wheel period by period, so the range may span many
-    waves without materializing anything beyond the wheel itself.
+    waves without materializing anything beyond the wheel itself.  Each
+    period is read between two bisections, for lo and for hi, so a short
+    window copies and scans only the residues inside it.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
     period, residues = wheel.period, wheel.residues
     for k in range(lo // period, hi // period + 1):
         base = k * period
-        start = bisect_left(residues, lo - base) if base < lo else 0
-        for r in residues[start:]:
-            x = base + r
-            if x > hi:
-                return
-            yield x
+        start = bisect_left(residues, lo - base)
+        stop = bisect_right(residues, hi - base)
+        yield from map(add, residues[start:stop], repeat(base))

@@ -546,6 +546,13 @@ def main(argv=None, out=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a cap set between free memory and the index range lets a request
+        # through that no allocation can meet
+        caps = ", ".join(flag for _, flag, *_ in _CAPS)
+        print(f"capacity error: out of memory; a lower cap ({caps}) refuses "
+              "this request before allocating", file=sys.stderr)
+        return 2
     except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -160,12 +160,17 @@ class TestExtendWheel:
     @pytest.mark.parametrize("moduli, m", [
         ((), 2), ((2,), 3), ((3,), 2), ((2, 3, 5), 7), ((2, 3, 5, 7), 11),
         ((3, 5, 7), 4), ((4, 9), 25), ((20,), 2783), ((8, 15), 7),
+        # a class fits in a byte up to m = 256; a larger m tests each entry
+        ((7, 13), 253), ((7, 11), 255), ((3, 5, 7), 256), ((9, 25), 256),
+        ((3, 5), 257), ((4, 9), 259), ((3, 7), 263), ((3, 5), 1009),
+        ((), 7), ((), 256), ((), 257),
     ])
     def test_matches_oracle_over_the_new_period(self, moduli, m):
         wheel = build_wheel(make_basis(moduli))
         grown = extend_wheel(wheel, m)
         want = tuple(x for x in range(wheel.period * m)
                      if oracle_survives(moduli + (m,), x))
+        assert type(grown.residues) is tuple
         assert grown.residues == want
         assert grown.count == len(want)
         assert grown.period == wheel.period * m

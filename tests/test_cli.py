@@ -479,6 +479,16 @@ def run_cli_process(*argv):
                           timeout=120)
 
 
+def test_out_of_memory_is_a_capacity_error():
+    # the cap admits 14 primes, whose 1.3e16-byte flag array no allocator
+    # grants: refused at once, so nothing is committed
+    done = run_cli_process("wheel", "--n", "14", "--wheel-cap", "100000000000000000")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("capacity error: out of memory; a lower cap")
+    assert "--wheel-cap" in done.stderr
+
+
 # Each writes far more than a pipe holds, so it is still writing when the
 # reader goes away.
 @pytest.mark.parametrize("argv", [
