@@ -257,7 +257,11 @@ def _int_str_digits(limit: int):
 @_int_str_digits(getattr(sys.int_info, "default_max_str_digits", 0))
 def _load_wheel_json(path: str, *, cap: int) -> Wheel:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} does not look like wheel JSON: "
+                             "nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not look like wheel JSON: not an object")
     try:

@@ -23,11 +23,11 @@ same exact integer:
 * ``count_meissel``        -- peel off the largest modulus m via
                               f(x) = f'(x) - f'(x / m), evaluated by the
                               phi(n, a) kernel: a survivor table for the
-                              smallest moduli, sized to the work it saves
-                              up to a ceiling of 2^16 entries, a shortcut
-                              past moduli above n, and at every level a
-                              reduction by that level's own period, whose
-                              residues are memoized.  At the paper's
+                              smallest moduli, of no more entries than the
+                              peel leaves it removes nor than 2^16, a
+                              shortcut past moduli above n, and at every
+                              level a reduction by that level's own period,
+                              whose residues are memoized.  At the paper's
                               rational boundaries u * P / v + delta it is
                               polynomial in the number of moduli; at a
                               random n near P still 2^(k - c) leaves.
@@ -219,24 +219,13 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
     return CountResult(_legendre(basis.moduli, _floor_boundary(x)), METHOD_LEGENDRE)
 
 
-# Below _TABLE_LIMIT the phi kernel's table is sized to the work it
-# saves.  Taking one more modulus into the table multiplies its entries
-# by that modulus and halves the leaves of the peel over the moduli left
-# outside it.  In CPython 3.11 on x86-64 one table entry (marked by
-# ``survivor_flags``, summed by ``array("I", accumulate(...))``) costs
-# 43-51 ns, and one leaf of the peel (a quotient, a table lookup and the
-# loop step around them) 700-830 ns: a leaf is worth about 16 entries, so
-# a modulus pays for itself while its table has at most 16 entries per
-# leaf it saves.
-_ENTRIES_PER_LEAF = 16
-
-
 # The phi kernel's memo (see ``_phi``) pays only where residues repeat.
 # With it on, a node costs about 1.8 times as much as with it off
 # (CPython 3.11 on x86-64, 22 primes at random n below the period, where
 # nothing repeats), so the memo is on only while it has room.  A call
-# whose walk ``_table_prefix`` estimates at fewer than _MEMO_TRIAL leaves
-# (2^(k - c) per n) has too few nodes to repeat and gets none.  Any other
+# whose peel has fewer than _MEMO_TRIAL leaves by the memo-blind count
+# (2^(k - c) per n, for the k moduli ``_floor_counts`` keeps and the c in
+# its table) has too few nodes to repeat and gets none.  Any other
 # call starts with room for _MEMO_TRIAL nodes; each node stored takes
 # one, and each hit gives one back.  Where nothing repeats the memo thus
 # turns itself off after _MEMO_TRIAL nodes, for good, since only a hit
@@ -345,66 +334,48 @@ def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
     return counts
 
 
-def _table_prefix(moduli: tuple[int, ...], ns: list[int]) -> int:
-    """How many of the smallest ``moduli`` the kernel's table covers when
-    it counts every n in ``ns``.
+def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
+                  _table: int | None = None) -> list[int]:
+    """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
+    pairwise-coprime ``moduli``, all through one kernel (see ``_phi``).
 
     Only the k moduli <= max(ns) can strike anything.  With c of them in
-    the table, each n walks a peel of about 2^(k - c) leaves, so taking
-    modulus c in as well saves about len(ns) * 2^(k - c - 1) leaves and
-    costs a table of min(P_{c+1}, max(ns) + 1) entries, P_{c+1} being the
-    product of moduli[:c + 1].  The table takes it while those entries
-    stay within _TABLE_LIMIT and within _ENTRIES_PER_LEAF per leaf saved.
+    the kernel's survivor table, each n walks a peel of at most 2^(k - c)
+    leaves, so taking modulus c in as well removes up to
+    len(ns) * 2^(k - c - 1) leaves, at the cost of a table of
+    min(P_{c+1}, max(ns) + 1) entries, P_{c+1} being the product of
+    moduli[:c + 1].  The table takes it while that product stays within
+    _TABLE_LIMIT and those entries within the leaves it removes.  An entry
+    costs far less than a leaf, so the table never costs more than the walk
+    it replaces.  One memo serves every n, so boundaries that share
+    residues, such as those of one subdivision, share the nodes below them.
+
+    ``_table`` forces c instead.  Every c from 0 (an empty table) up to
+    the ceiling, P_c <= _TABLE_LIMIT, gives the same counts; only the work
+    differs.
     """
+    _require_ascending(moduli)
     top = max(ns, default=0)
     k = bisect_right(moduli, top)
-    c, period = 0, 1
-    while c < k:
-        period *= moduli[c]
-        saved = len(ns) << (k - c - 1)
-        if period > _TABLE_LIMIT or min(period, top + 1) > _ENTRIES_PER_LEAF * saved:
-            break
-        c += 1
-    return c
-
-
-def _table_counts(moduli: tuple[int, ...], ns: list[int], c: int) -> list[int]:
-    """``_floor_counts`` with the kernel's table over ``moduli[:c]``.
-
-    The table stops at max(ns) when that comes before the end of its
-    period, because no lookup can go further.  Any c from 0 (an empty
-    table) to len(moduli) gives the same counts; only the work differs.
-    """
-    top = max(ns, default=0)
-    # Moduli above every n strike nothing, and no node at a level whose
-    # period exceeds every n is ever reduced: any period above top will do
-    # for those levels.
-    moduli = moduli[:max(c, bisect_right(moduli, top))]
+    moduli = moduli[:max(k, _table or 0)]  # the rest strike nothing
+    # Past a period above both top and the ceiling, no node is ever reduced
+    # and no modulus joins the table: any period above top will do there.
     periods, survivors = [1], [1]
-    for a, m in enumerate(moduli):
-        if a >= c and periods[-1] > top:
+    for m in moduli:
+        if periods[-1] > max(top, _TABLE_LIMIT):
             break
         periods.append(periods[-1] * m)
         survivors.append(survivors[-1] * (m - 1))
     periods += [top + 1] * (len(moduli) + 1 - len(periods))
+    c = _table
+    if c is None:
+        c = 0
+        while (c < k and periods[c + 1] <= _TABLE_LIMIT
+               and min(periods[c + 1], top + 1) <= len(ns) << (k - c - 1)):
+            c += 1
     flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
-    flags[0] = 0  # cum[r] counts survivors in 1..r
+    flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top
     return _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)))
-
-
-def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
-    """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
-    pairwise-coprime ``moduli``, all through one kernel.
-
-    The kernel's survivor table is sized to the work it saves (see
-    ``_table_prefix``), with _TABLE_LIMIT entries as its ceiling: a query
-    of a few dozen leaves builds a table of a few hundred entries, and a
-    deep one, such as 25 primes near P/3, the largest the ceiling allows.
-    One memo serves every n, so boundaries that share residues, such as
-    those of one subdivision, share the nodes below them.
-    """
-    _require_ascending(moduli)
-    return _table_counts(moduli, ns, _table_prefix(moduli, ns))
 
 
 def count_meissel(basis: CoprimeBasis, x) -> CountResult:

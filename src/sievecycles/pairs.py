@@ -24,8 +24,11 @@ class PairSpec:
     right_offset: int
 
     def __post_init__(self) -> None:
-        if self.left_offset < 0 or self.right_offset < 0:
-            raise ValueError("offsets must be non-negative")
+        for offset in (self.left_offset, self.right_offset):
+            if not isinstance(offset, int) or isinstance(offset, bool):
+                raise TypeError(f"offset {offset!r} is not an integer")
+            if offset < 0:
+                raise ValueError("offsets must be non-negative")
 
 
 @dataclass(frozen=True)

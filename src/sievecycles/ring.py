@@ -27,6 +27,8 @@ class ResidueVector:
         if len(self.entries) != len(self.basis):
             raise ValueError("one entry per basis modulus required")
         for e, m in zip(self.entries, self.basis):
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise TypeError(f"entry {e!r} is not an integer")
             if not 0 <= e < m:
                 raise ValueError(f"entry {e} out of range for modulus {m}")
 

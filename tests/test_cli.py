@@ -161,11 +161,19 @@ class TestWheelAndList:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and problem in err
 
-    def test_from_wheel_rejects_json_that_is_not_an_object(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "[1, 7, 11, 13]",
+        # deeper than the JSON parser's recursion limit
+        '{"basis": ' + "[" * 5000 + "]" * 5000 + "}",
+    ], ids=["list", "nested 5000 deep"])
+    def test_from_wheel_rejects_json_that_is_not_a_wheel_object(self, tmp_path,
+                                                                 capsys, text):
         path = tmp_path / "w.json"
-        path.write_text("[1, 7, 11, 13]")
+        path.write_text(text)
         assert run_cli("list", "--from-wheel", str(path)) == (1, "")
-        assert "does not look like wheel JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "does not look like wheel JSON" in err
 
     def test_from_wheel_rejects_a_bare_wheel_object(self, tmp_path, capsys):
         # Only the envelope that `wheel --json` writes is read.

@@ -1,4 +1,5 @@
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, prod
@@ -6,7 +7,7 @@ from unittest.mock import patch
 
 import pytest
 from conftest import count_near_subdivision, oracle_count, oracle_legendre
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sievecycles import (
@@ -31,8 +32,6 @@ from sievecycles.counting import (
     _floor_counts,
     _legendre,
     _signed_products,
-    _table_counts,
-    _table_prefix,
 )
 
 # The kernel's memo is on while it has room and stores at most _MEMO_LIMIT
@@ -346,15 +345,26 @@ def test_every_table_size_matches_oracle_and_legendre(case, drop_seed):
     expected_struck = count_legendre(basis, n // d).value
     # The kernel takes ascending moduli, as every public route passes them.
     for c in table_sizes(basis.moduli):
-        assert _table_counts(basis.moduli, [n, n // d], c) == [expected, expected_struck]
+        assert _floor_counts(basis.moduli, [n, n // d], _table=c) == [expected, expected_struck]
+
+
+def kernel_table(moduli, ns):
+    """(c, entries): how many moduli the kernel's table covers when it
+    counts ``ns``, and how many entries it has, read from the arguments
+    ``_floor_counts`` hands to ``_phi``; the walk itself is skipped."""
+    with patch.object(counting, "_phi", return_value=[]) as phi:
+        _floor_counts(moduli, ns)
+    _, _, c, _, _, cum = phi.call_args.args
+    return c, len(cum)
 
 
 def table_period(moduli, ns):
-    return prod(moduli[:_table_prefix(moduli, ns)])
+    return prod(moduli[:kernel_table(moduli, ns)[0]])
 
 
 class TestTableRule:
-    """The table is sized to the leaves it saves, up to _TABLE_LIMIT."""
+    """The table takes each modulus whose entries stay within the leaves it
+    removes, up to _TABLE_LIMIT."""
 
     def test_shallow_query_builds_a_smaller_table(self):
         # 12 primes near P/2 walk a peel of a few hundred leaves: the
@@ -362,9 +372,14 @@ class TestTableRule:
         moduli = make_prime_basis(12).moduli
         assert 1 < table_period(moduli, [prod(moduli) // 2]) < 30030
 
-    def test_deep_query_keeps_the_full_table(self):
-        moduli = make_prime_basis(25).moduli
-        assert table_period(moduli, [prod(moduli) // 3]) == 30030
+    @pytest.mark.parametrize("moduli, n", [
+        (make_prime_basis(25).moduli, make_prime_basis(25).period // 3),
+        # a random point below the period, where the memo turns itself off
+        # and the table does the most
+        (make_prime_basis(22).moduli, 1199543583607360214466015606207),
+    ])
+    def test_deep_query_keeps_the_full_table(self, moduli, n):
+        assert table_period(moduli, [n]) == 30030
 
     def test_far_below_the_period_keeps_the_full_table(self):
         assert table_period(make_prime_basis(100).moduli, [10**9]) == 30030
@@ -383,9 +398,30 @@ class TestTableRule:
         (make_prime_basis(12).moduli, [30]),
     ])
     def test_stays_within_the_ceiling_and_below_max_n(self, moduli, ns):
-        c = _table_prefix(moduli, ns)
+        c, _ = kernel_table(moduli, ns)
         assert prod(moduli[:c]) <= _TABLE_LIMIT
         assert all(m <= max(ns, default=0) for m in moduli[:c])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30),
+           st.lists(st.one_of(st.integers(0, 300), st.integers(0, 10**7),
+                              st.integers(0, 10**40)), min_size=1, max_size=40))
+    # the entries of the last modulus taken equal the leaves it removes
+    @example(3, [3])
+    @example(12, [31])
+    def test_entries_never_exceed_the_leaves_they_remove(self, size, ns):
+        moduli = make_prime_basis(size).moduli
+        c, entries = kernel_table(moduli, ns)
+        top = max(ns)
+        k = bisect_right(moduli, top)
+        assert c <= k
+        assert entries == min(prod(moduli[:c]), top + 1)
+        if c > 0:  # the last modulus taken, moduli[c - 1], removes these
+            assert entries <= len(ns) << (k - c)
+        if c < k:  # and the next one would break the ceiling or the rule
+            period = prod(moduli[:c + 1])
+            assert (period > _TABLE_LIMIT
+                    or min(period, top + 1) > len(ns) << (k - c - 1))
 
 
 @pytest.mark.parametrize("m, k", [(97, 32), (13, 5)])

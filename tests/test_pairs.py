@@ -63,9 +63,18 @@ class TestPairCount:
     def test_empty_basis(self):
         assert pair_count(make_prime_basis(0), PairSpec(1, 1)).predicted_count == 1
 
-    def test_negative_offsets_rejected(self):
-        with pytest.raises(ValueError):
-            PairSpec(-1, 2)
+    @pytest.mark.parametrize("left, right, error", [
+        (-1, 2, ValueError),
+        (2, -1, ValueError),
+        (1.5, 1, TypeError),
+        (1, 1.0, TypeError),
+        (True, 1, TypeError),
+        (1, "1", TypeError),
+    ])
+    def test_negative_offsets_rejected(self, left, right, error):
+        # A float offset would count 0 centers, and bools are not offsets.
+        with pytest.raises(error):
+            PairSpec(left, right)
 
 
 class TestEnumerateCenters:

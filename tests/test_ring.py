@@ -63,9 +63,16 @@ class TestVectorValidation:
         with pytest.raises(ValueError):
             ResidueVector(B3, (1, 1))
 
-    def test_entry_out_of_range(self):
-        with pytest.raises(ValueError):
-            ResidueVector(B3, (1, 1, 5))
+    @pytest.mark.parametrize("entries, error", [
+        ((1, 1, 5), ValueError),
+        ((1, 1, -1), ValueError),
+        ((1.0, 1, 1), TypeError),
+        ((1, True, 1), TypeError),
+        ((1.5, 1.5, 2.5), TypeError),  # what decompose(B3, 7.5) builds
+    ])
+    def test_entry_out_of_range(self, entries, error):
+        with pytest.raises(error):
+            ResidueVector(B3, entries)
 
 
 class TestMultiply:
