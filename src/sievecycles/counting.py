@@ -23,11 +23,11 @@ same exact integer:
 * ``count_meissel``        -- peel off the largest modulus m via
                               f(x) = f'(x) - f'(x / m), evaluated by the
                               phi(n, a) kernel: a survivor table for the
-                              smallest moduli, of no more entries than the
-                              peel leaves it removes nor than 2^16, a
-                              shortcut past moduli above n, and at every
-                              level a reduction by that level's own period,
-                              whose residues are memoized.  At the paper's
+                              smallest moduli, sized to the work it saves
+                              up to a ceiling of 2^16 entries, a shortcut
+                              past moduli above n, and at every level a
+                              reduction by that level's own period, whose
+                              residues are memoized.  At the paper's
                               rational boundaries u * P / v + delta it is
                               polynomial in the number of moduli; at a
                               random n near P still 2^(k - c) leaves.
@@ -219,6 +219,23 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
     return CountResult(_legendre(basis.moduli, _floor_boundary(x)), METHOD_LEGENDRE)
 
 
+# Below _TABLE_LIMIT the phi kernel's table is sized to the work it
+# saves.  Taking one more modulus into the table multiplies its entries
+# by that modulus and halves the leaves of the peel over the moduli left
+# outside it.  In CPython 3.11 on x86-64 one table entry (marked by
+# ``survivor_flags``, summed by ``array("I", accumulate(...))``) costs
+# 43-51 ns, and one leaf of the peel (a quotient, a table lookup and the
+# loop step around them) 700-830 ns: a leaf is worth about 16 entries, so
+# a modulus pays for itself while its table has at most 16 entries per
+# leaf it saves.  The leaf count is exact where the memo turns itself off,
+# as at a random n below the period; at the paper's rational boundaries
+# the memo collapses the peel and a smaller table would do, but which of
+# the two a call is shows only once it walks.  One entry per leaf, the
+# rule for those boundaries, made random n at 14-20 primes up to 1.8
+# times slower.
+_ENTRIES_PER_LEAF = 16
+
+
 # The phi kernel's memo (see ``_phi``) pays only where residues repeat.
 # With it on, a node costs about 1.8 times as much as with it off
 # (CPython 3.11 on x86-64, 22 primes at random n below the period, where
@@ -345,10 +362,9 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
     len(ns) * 2^(k - c - 1) leaves, at the cost of a table of
     min(P_{c+1}, max(ns) + 1) entries, P_{c+1} being the product of
     moduli[:c + 1].  The table takes it while that product stays within
-    _TABLE_LIMIT and those entries within the leaves it removes.  An entry
-    costs far less than a leaf, so the table never costs more than the walk
-    it replaces.  One memo serves every n, so boundaries that share
-    residues, such as those of one subdivision, share the nodes below them.
+    _TABLE_LIMIT and those entries within _ENTRIES_PER_LEAF per leaf
+    removed.  One memo serves every n, so boundaries that share residues,
+    such as those of one subdivision, share the nodes below them.
 
     ``_table`` forces c instead.  Every c from 0 (an empty table) up to
     the ceiling, P_c <= _TABLE_LIMIT, gives the same counts; only the work
@@ -371,7 +387,8 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
     if c is None:
         c = 0
         while (c < k and periods[c + 1] <= _TABLE_LIMIT
-               and min(periods[c + 1], top + 1) <= len(ns) << (k - c - 1)):
+               and min(periods[c + 1], top + 1)
+               <= _ENTRIES_PER_LEAF * (len(ns) << (k - c - 1))):
             c += 1
     flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top

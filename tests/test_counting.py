@@ -28,6 +28,7 @@ from sievecycles import (
 )
 from sievecycles import counting
 from sievecycles.counting import (
+    _ENTRIES_PER_LEAF,
     _TABLE_LIMIT,
     _floor_counts,
     _legendre,
@@ -363,8 +364,8 @@ def table_period(moduli, ns):
 
 
 class TestTableRule:
-    """The table takes each modulus whose entries stay within the leaves it
-    removes, up to _TABLE_LIMIT."""
+    """The table takes each modulus whose entries stay within
+    _ENTRIES_PER_LEAF per leaf it removes, up to _TABLE_LIMIT."""
 
     def test_shallow_query_builds_a_smaller_table(self):
         # 12 primes near P/2 walk a peel of a few hundred leaves: the
@@ -374,9 +375,11 @@ class TestTableRule:
 
     @pytest.mark.parametrize("moduli, n", [
         (make_prime_basis(25).moduli, make_prime_basis(25).period // 3),
-        # a random point below the period, where the memo turns itself off
-        # and the table does the most
+        # Random points below the period, where the memo turns itself off
+        # and the table does the most.  One entry per leaf would stop 20
+        # primes at 2310 and walk twice the leaves.
         (make_prime_basis(22).moduli, 1199543583607360214466015606207),
+        (make_prime_basis(20).moduli, 491355798804200279293287319),
     ])
     def test_deep_query_keeps_the_full_table(self, moduli, n):
         assert table_period(moduli, [n]) == 30030
@@ -406,10 +409,10 @@ class TestTableRule:
     @given(st.integers(1, 30),
            st.lists(st.one_of(st.integers(0, 300), st.integers(0, 10**7),
                               st.integers(0, 10**40)), min_size=1, max_size=40))
-    # the entries of the last modulus taken equal the leaves it removes
-    @example(3, [3])
-    @example(12, [31])
-    def test_entries_never_exceed_the_leaves_they_remove(self, size, ns):
+    # the entries of the last modulus taken are exactly the bound
+    @example(3, [15])
+    @example(7, [127])
+    def test_entries_stay_within_the_bound_per_leaf_removed(self, size, ns):
         moduli = make_prime_basis(size).moduli
         c, entries = kernel_table(moduli, ns)
         top = max(ns)
@@ -417,11 +420,12 @@ class TestTableRule:
         assert c <= k
         assert entries == min(prod(moduli[:c]), top + 1)
         if c > 0:  # the last modulus taken, moduli[c - 1], removes these
-            assert entries <= len(ns) << (k - c)
+            assert entries <= _ENTRIES_PER_LEAF * (len(ns) << (k - c))
         if c < k:  # and the next one would break the ceiling or the rule
             period = prod(moduli[:c + 1])
             assert (period > _TABLE_LIMIT
-                    or min(period, top + 1) > len(ns) << (k - c - 1))
+                    or min(period, top + 1)
+                    > _ENTRIES_PER_LEAF * (len(ns) << (k - c - 1)))
 
 
 @pytest.mark.parametrize("m, k", [(97, 32), (13, 5)])
