@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Counting survivors exactly, five ways, at boundaries floats would fumble."""
+"""Counting survivors exactly, five ways, at boundaries floats would fumble.
+
+Every claim printed here is recomputed on the spot, and a false one makes
+the run exit with status 1.
+"""
 
 from fractions import Fraction
+
+from _claims import claim
 
 from sievecycles import (
     count_by_sieve,
@@ -31,12 +37,15 @@ for x in (35, Fraction(105, 2), 70, 105, Fraction(315, 2), 210):
         count_generalized_meissel(basis, 5, x).value,
         count_periodic(basis, x).value,
     ]
+    claim(len(set(row)) == 1, f"the five routes agree at {x}")
     print(f"{format_exact(Fraction(x)):>8}  "
           + " ".join(f"{v:>{w}}" for v, w in zip(row, (6, 9, 8, 9, 9))))
 
 print()
 print("Periodic reduction makes astronomically large arguments free:")
 huge = 10**40 * 210 + 35
+claim(count_periodic(basis, huge).value == 10**40 * 48 + 8,
+      "10^40 periods of 48 survivors, then the 8 up to 35")
 print(f"  f(10^40 * 210 + 35) = {count_periodic(basis, huge).value}")
 
 print()
@@ -61,5 +70,6 @@ print(f"  predictable intervals in total: {total_intervals(ten)}")
 print()
 print("Euler's totient is the same count wearing different clothes:")
 for x in (210, 55660, 6469693230):
+    equal = claim(phi_identity_check(x), f"phi({x}) is the survivor count")
     print(f"  phi({x}) = {euler_phi(x)}; equals the survivor count for "
-          f"x's own prime divisors: {phi_identity_check(x)}")
+          f"x's own prime divisors: {equal}")

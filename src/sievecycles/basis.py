@@ -33,6 +33,8 @@ class CoprimeBasis:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.moduli) is not tuple:  # a list: unhashable, unequal to a tuple
+            object.__setattr__(self, "moduli", tuple(self.moduli))
         for m in self.moduli:
             if not isinstance(m, int) or isinstance(m, bool):
                 raise TypeError(f"modulus {m!r} is not an integer")

@@ -24,6 +24,8 @@ class ResidueVector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.entries) is not tuple:  # a list: unhashable, unequal to a tuple
+            object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != len(self.basis):
             raise ValueError("one entry per basis modulus required")
         for e, m in zip(self.entries, self.basis):

@@ -218,21 +218,6 @@ def test_all_methods_agree_with_oracle(case):
         assert count_generalized_meissel(basis, drop, x).value == expected
 
 
-@given(st.integers(0, 5000))
-def test_unit_steps(x):
-    step = count_legendre(B3, x + 1).value - count_legendre(B3, x).value
-    assert step == (1 if (x + 1) % 2 and (x + 1) % 3 and (x + 1) % 5 else 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(basis_and_boundary(), st.integers(0, 6))
-def test_period_shift_law(case, k):
-    moduli, x = case
-    basis = make_basis(moduli) if moduli else make_prime_basis(0)
-    assert count_legendre(basis, k * basis.period + x).value == \
-        k * basis.survivor_count + count_legendre(basis, x).value
-
-
 # Bases for the integer phi kernel behind meissel, generalized_meissel,
 # periodic_reduction and subdivision.  Its survivor table may take the
 # smallest moduli while their product stays within 2^16: all of the first
@@ -262,6 +247,9 @@ def kernel_case(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_case())
+# An equal-count boundary of six primes, which cycles.uniform_counts never
+# draws at depth small
+@example(((2, 3, 5, 7, 11, 13), 13, 5, Fraction(5 * 30030, 12), 0))
 def test_kernel_routes_match_oracle_and_legendre(case):
     moduli, m, k, y, waves = case
     basis = make_basis(moduli)
@@ -269,6 +257,7 @@ def test_kernel_routes_match_oracle_and_legendre(case):
     expected = waves * basis.survivor_count + count_near_subdivision(moduli, m, k, y)
     if x <= ORACLE_REACH:
         assert oracle_count(moduli, x) == expected
+        assert count_by_sieve(basis, x).value == expected
     assert count_legendre(basis, x).value == expected
     assert count_meissel(basis, x).value == expected
     assert count_periodic(basis, x).value == expected
@@ -628,16 +617,11 @@ class TestReflection:
         assert count_legendre(basis, 2 - 1).value == \
             basis.survivor_count - count_strictly_below(basis, 1)
 
-    @settings(max_examples=60, deadline=None)
-    @given(basis_and_boundary())
-    def test_corrected_law_randomized(self, case):
-        moduli, x = case
-        if not moduli:
-            return  # 0 survives only the empty basis; law scoped to nonempty
-        basis = make_basis(moduli)
-        period = basis.period
-        x = x % period if x % period != 0 else Fraction(period)
-        assert count_legendre(basis, period - x).value == \
+    @pytest.mark.parametrize("x", [1, 13, 17, Fraction(1001, 10), 30029, 30030])
+    def test_corrected_law_at_six_primes(self, x):
+        # count.reflection draws at most five primes at depth small
+        basis = make_prime_basis(6)
+        assert count_legendre(basis, basis.period - x).value == \
             basis.survivor_count - count_strictly_below(basis, x)
 
     def test_non_survivor_boundaries_match_naive_form(self):

@@ -2,11 +2,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import oracle_count
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sievecycles import (
-    count_by_sieve,
     count_legendre,
     cycle_table,
     format_exact,
@@ -115,45 +112,9 @@ class TestCycleTable:
         assert total_intervals(make_prime_basis(10)) == 119
         assert total_intervals(B4) == 1 + 2 + 4 + 6
 
-    def test_row_consistency(self):
-        for moduli in [(2,), (2, 3, 5), (20, 2783), (4, 9, 25)]:
-            basis = make_basis(moduli)
-            for row in cycle_table(basis):
-                assert row.interval_count * row.interval_size == basis.period
-                assert row.interval_count * row.survivors_per_interval == \
-                    basis.survivor_count
-
     def test_empty_basis(self):
         assert cycle_table(make_prime_basis(0)) == ()
         assert total_intervals(make_prime_basis(0)) == 0
-
-
-SMALL_BASES = st.sampled_from([
-    (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 5, 7), (2, 3, 5, 7, 11),
-    (2, 3, 5, 7, 11, 13), (4, 9, 25), (6, 35),
-])
-
-
-@settings(max_examples=40, deadline=None)
-@given(SMALL_BASES, st.data())
-def test_uniform_interval_counts(moduli, data):
-    basis = make_basis(moduli)
-    chosen = data.draw(st.sampled_from(moduli))
-    k = data.draw(st.integers(1, chosen - 1))
-    boundary = Fraction(k * basis.period, chosen - 1)
-    want = k * basis.without(chosen).survivor_count
-    if boundary <= 10**5:
-        assert count_by_sieve(basis, boundary).value == want
-    assert count_legendre(basis, boundary).value == want
-
-
-def test_fractional_boundaries_never_hit_survivors():
-    for basis, chosen in [(B4, 5), (B3, 5), (make_prime_basis(5), 11)]:
-        for iv in subdivision(basis, chosen).intervals:
-            if iv.boundary.denominator != 1:
-                below = count_legendre(basis, Fraction(iv.boundary.numerator
-                                                       // iv.boundary.denominator)).value
-                assert iv.cumulative_count == below
 
 
 class TestFormatExact:

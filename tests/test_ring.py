@@ -1,8 +1,7 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sievecycles import (
+    CoprimeBasis,
     ResidueVector,
     decompose,
     identity,
@@ -74,6 +73,13 @@ class TestVectorValidation:
         with pytest.raises(error):
             ResidueVector(B3, entries)
 
+    def test_entries_from_a_list_are_stored_as_a_tuple(self):
+        v = ResidueVector(B3, [1, 1, 2])
+        assert type(v.entries) is tuple
+        assert v == decompose(B3, 7)
+        assert hash(v) == hash(decompose(B3, 7))
+        assert multiply(v, identity(B3)) == v
+
 
 class TestMultiply:
     def test_seven_times_eleven(self):
@@ -87,6 +93,11 @@ class TestMultiply:
 
     def test_seven_times_thirteen_is_identity(self):
         assert multiply(decompose(B3, 7), decompose(B3, 13)) == identity(B3)
+
+    def test_a_basis_built_from_a_list_is_the_same_basis(self):
+        listed = CoprimeBasis([2, 3, 5])
+        got = multiply(ResidueVector(listed, (1, 1, 2)), decompose(B3, 11))
+        assert got == decompose(B3, 17)
 
     def test_basis_mismatch(self):
         with pytest.raises(ValueError):
@@ -122,62 +133,22 @@ class TestUnitGroup:
         units = [x for x in range(B4.period) if is_unit_vector(decompose(B4, x))]
         assert len(units) == B4.survivor_count == 48
 
-    def test_survivor_equals_unit_on_prime_basis(self):
-        for x in range(B4.period):
-            v = decompose(B4, x)
-            assert is_survivor_vector(v) == is_unit_vector(v) == is_survivor(B4, x)
 
-    def test_closure_and_commutativity_exhaustive(self):
-        units = [decompose(B3, x) for x in range(30) if is_survivor(B3, x)]
-        for u in units:
-            for v in units:
-                w = multiply(u, v)
-                assert is_unit_vector(w)
-                assert w == multiply(v, u)
-
-    def test_associativity_exhaustive_small(self):
-        units = [decompose(B3, x) for x in range(30) if is_survivor(B3, x)]
-        for u in units:
-            for v in units:
-                uv = multiply(u, v)
-                for w in units:
-                    assert multiply(uv, w) == multiply(u, multiply(v, w))
-
-    def test_every_unit_has_working_inverse(self):
-        one = identity(B4)
-        for x in range(B4.period):
-            v = decompose(B4, x)
-            if is_unit_vector(v):
-                assert multiply(v, inverse(v)) == one
-
-
-BASES = st.sampled_from([(2,), (2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 5, 7),
-                         (2, 3, 5, 7, 11, 13), (4, 9, 25), (20, 2783)])
-
-
-@settings(max_examples=80)
-@given(BASES, st.integers(0, 10**9), st.integers(0, 10**9))
-def test_product_homomorphism(moduli, x, y):
+# At depth small ring.bijection round-trips the first three, four and five
+# primes and (4, 9, 25), ring.product_map draws subsets of the first five
+# primes and composite pairs, and ring.group_axioms inverts over the first
+# three and five primes only.  Each basis here escapes at least one of them;
+# the three laws hold on up to 500 residues spread over its period.
+@pytest.mark.parametrize("moduli", [
+    (2,), (2, 3), (3, 5, 7), (2, 3, 5, 7), (4, 9, 25), (2, 3, 5, 7, 11, 13), (20, 2783),
+])
+def test_ring_laws_on_bases_the_checks_skip(moduli):
     basis = make_basis(moduli)
-    x %= basis.period
-    y %= basis.period
-    assert decompose(basis, x * y % basis.period) == \
-        multiply(decompose(basis, x), decompose(basis, y))
-
-
-@settings(max_examples=80)
-@given(BASES, st.integers(0, 10**9))
-def test_round_trip_randomized(moduli, x):
-    basis = make_basis(moduli)
-    x %= basis.period
-    assert reconstruct(decompose(basis, x)) == x
-
-
-@settings(max_examples=60)
-@given(BASES, st.integers(0, 10**9))
-def test_inverse_randomized(moduli, x):
-    basis = make_basis(moduli)
-    x %= basis.period
-    v = decompose(basis, x)
-    if is_unit_vector(v):
-        assert multiply(v, inverse(v)) == identity(basis)
+    period = basis.period
+    xs = [i * 7919 % period for i in range(min(period, 500))]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        v = decompose(basis, x)
+        assert reconstruct(v) == x
+        assert multiply(v, decompose(basis, y)) == decompose(basis, x * y % period)
+        if is_unit_vector(v):
+            assert multiply(v, inverse(v)) == identity(basis)

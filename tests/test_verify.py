@@ -9,16 +9,14 @@ from sievecycles import run_checks
 from sievecycles.verify import CHECKS
 
 
-def test_small_depth_all_pass():
-    results = run_checks(depth="small", seed=7)
-    assert len(results) == len(CHECKS)
-    failures = [r.name for r in results if not r.passed]
-    assert failures == []
-
-
-def test_every_registered_check_has_a_detail():
-    for r in run_checks(depth="small", seed=1):
-        assert r.detail
+# verify is the one home of the randomized structural laws: every check,
+# at ten fixed seeds.  A failure names the check and the seed to replay.
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("name", [name for name, _ in CHECKS])
+def test_check_passes_at_small_depth(name, seed):
+    [result] = run_checks(depth="small", seed=seed, names=[name])
+    assert result.passed, result.detail
+    assert result.detail
 
 
 def test_subset_selection():
@@ -45,22 +43,46 @@ def test_bad_depth_rejected():
 def test_deterministic_for_seed():
     a = run_checks(depth="small", seed=3)
     b = run_checks(depth="small", seed=3)
+    assert [r.name for r in a] == [name for name, _ in CHECKS]
     assert a == b
 
 
-# Wraps count_meissel to answer value + 1, then runs the two checks that
-# compare it with the other routes.  Prints the optimize level, then one
-# "name passed" line per check.
-_INJECTED_FAULT = """
+# One fault per check family, each undone before the next.  Prints the
+# optimize level, then per family the checks that report the fault at seed
+# 0.  (pairs.center_shift misses the pairs fault there, at seeds 1 and 2 it
+# reports it: its 40 samples seldom land where the fault changes a centre.)
+_INJECTED_FAULTS = """
 import sys
-from sievecycles import counting, verify
+from unittest.mock import patch
+from sievecycles import basis, counting, cycles, pairs, verify
+from sievecycles.ring import ResidueVector
 
-honest = counting.count_meissel
-verify.count_meissel = lambda basis, x: counting.CountResult(
-    honest(basis, x).value + 1, honest(basis, x).method)
+def meissel_plus_one(b, x):
+    honest = counting.count_meissel(b, x)
+    return counting.CountResult(honest.value + 1, honest.method)
+
+faults = {
+    # every x from half the period on counts as a survivor
+    "wheel": (verify, "is_survivor",
+              lambda b, x: x >= b.period // 2 or basis.is_survivor(b, x)),
+    "count": (verify, "count_meissel", meissel_plus_one),
+    # every boundary count one too high
+    "cycles": (cycles, "_floor_counts",
+               lambda moduli, ns: [c + 1 for c in counting._floor_counts(moduli, ns)]),
+    # b mod m instead of -b mod m
+    "pairs": (pairs, "_forbidden",
+              lambda m, spec: {spec.left_offset % m, spec.right_offset % m}),
+    # entries added instead of multiplied
+    "ring": (verify, "multiply",
+             lambda u, v: ResidueVector(u.basis, tuple(
+                 (a + b) % m for a, b, m in zip(u.entries, v.entries, u.basis)))),
+}
 print("optimize", sys.flags.optimize)
-for r in verify.run_checks("small", 0, ["count.method_agreement", "count.peel_any"]):
-    print(r.name, r.passed)
+for family, (module, name, fault) in faults.items():
+    names = [n for n, _ in verify.CHECKS if n.startswith(family + ".")]
+    with patch.object(module, name, fault):
+        results = verify.run_checks("small", 0, names)
+    print(family, *(r.name for r in results if not r.passed))
 """
 
 
@@ -68,9 +90,14 @@ def test_checks_catch_injected_fault_under_optimize():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-O", "-c", _INJECTED_FAULT],
+    done = subprocess.run([sys.executable, "-O", "-c", _INJECTED_FAULTS],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["optimize 1",
-                                        "count.method_agreement False",
-                                        "count.peel_any False"]
+    assert done.stdout.splitlines() == [
+        "optimize 1",
+        "wheel wheel.periodicity wheel.symmetry wheel.composite_moduli",
+        "count count.method_agreement count.peel_largest count.peel_any",
+        "cycles cycles.uniform_counts cycles.degenerate_two cycles.fractional_boundaries",
+        "pairs pairs.twin_product pairs.merged_offsets pairs.center_mirror",
+        "ring ring.group_axioms ring.product_map",
+    ]
