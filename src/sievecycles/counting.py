@@ -25,9 +25,10 @@ same exact integer:
                               phi(n, a) kernel: a survivor table for the
                               smallest moduli, sized to the work it saves
                               up to a ceiling of 2^16 entries, a shortcut
-                              past moduli above n, and at every level a
-                              reduction by that level's own period, whose
-                              residues are memoized.  At the paper's
+                              past moduli above n, and, at each level
+                              where the input makes residues repeat, a
+                              reduction by that level's own period and a
+                              memo of its residues.  At the paper's
                               rational boundaries u * P / v + delta it is
                               polynomial in the number of moduli; at a
                               random n near P still 2^(k - c) leaves.
@@ -47,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor
+from math import ceil, floor, isqrt, lcm, prod
 
 from .basis import CoprimeBasis, survivor_flags
 from .errors import CapacityError
@@ -227,42 +228,100 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
 # 43-51 ns, and one leaf of the peel (a quotient, a table lookup and the
 # loop step around them) 700-830 ns: a leaf is worth about 16 entries, so
 # a modulus pays for itself while its table has at most 16 entries per
-# leaf it saves.  The leaf count is exact where the memo turns itself off,
-# as at a random n below the period; at the paper's rational boundaries
-# the memo collapses the peel and a smaller table would do, but which of
-# the two a call is shows only once it walks.  One entry per leaf, the
-# rule for those boundaries, made random n at 14-20 primes up to 1.8
-# times slower.
+# leaf it saves.  The leaf count is exact where no level above the table
+# keeps a memo, as at a random n below the period; at the paper's rational
+# boundaries the memo collapses the peel and a smaller table would do.
+# One entry per leaf, the rule for those boundaries, made random n at
+# 14-20 primes up to 1.8 times slower.
 _ENTRIES_PER_LEAF = 16
 
 
 # The phi kernel's memo (see ``_phi``) pays only where residues repeat.
 # With it on, a node costs about 1.8 times as much as with it off
 # (CPython 3.11 on x86-64, 22 primes at random n below the period, where
-# nothing repeats), so the memo is on only while it has room.  A call
-# whose peel has fewer than _MEMO_TRIAL leaves by the memo-blind count
-# (2^(k - c) per n, for the k moduli ``_floor_counts`` keeps and the c in
-# its table) has too few nodes to repeat and gets none.  Any other
-# call starts with room for _MEMO_TRIAL nodes; each node stored takes
-# one, and each hit gives one back.  Where nothing repeats the memo thus
-# turns itself off after _MEMO_TRIAL nodes, for good, since only a hit
-# gives room back; at rational points of the period hits keep pace with
-# stores.  It never stores more than _MEMO_LIMIT nodes in one call: near
-# the period of 1000 primes a node holds ints of thousands of digits, and
-# the 94,000 nodes of one subdivision take about 140 MiB.
-_MEMO_TRIAL = 256
+# nothing repeats), so ``_memo_levels`` turns it on level by level, before
+# the walk, only where the input says residues will repeat.  It never
+# stores more than _MEMO_LIMIT nodes in one call: near the period of 1000
+# primes a node holds ints of thousands of digits, and the 94,000 nodes of
+# one subdivision take about 140 MiB.
 _MEMO_LIMIT = 1 << 17
 
 
+def _memo_levels(ns: list[int], moduli: tuple[int, ...], k: int, c: int,
+                 periods: list[int], whole: int) -> list[dict | None]:
+    """The memo of each level a of the walk over ``ns``: an empty dict where
+    phi(r, a) repeats residues r often enough to pay, else None.
+
+    ``moduli[:k]`` are the moduli <= max(ns), whose product is ``whole``;
+    the table resolves moduli[:c], and periods[a] bounds the residues of
+    level a.  The memo-blind peel visits N = len(ns) * 2^(k - a) nodes at
+    level a, each floor(n / d) for a product d of moduli[a:k].  If they
+    take at most D distinct residues, about N^2 / 2D of them repeat (all
+    but D once N > D), and each repeat saves the a - c steps of a spine,
+    while each visit costs one lookup: the level pays where D < N * (a - c).
+    Three bounds count D:
+
+    * periods[a], the residues modulo P_a;
+    * about (len(ns) + 1) * sqrt(max(ns)), the distinct quotients floor(n / d);
+    * common * (width // moduli[a] + 1) + len(ns) near a rational point:
+      each n is u * P / v + delta for the convergent u / v of n / P whose
+      points, about v * (|delta| + 1), are fewest among those whose v is
+      within _MEMO_LIMIT and the most visits of any level; common is the
+      lcm of those v and width the largest floor(|delta|) + 1.  Every d
+      other than 1 is at least moduli[a], so floor(n / d) modulo P_a lies
+      within |delta| / moduli[a] of one of common points.
+    """
+    levels = [None] * len(periods)
+    if k <= c + 1:
+        return levels  # no level between the table and the top to decide
+    size = len(ns)
+    # No level visits more than size << (k - c - 1) nodes, nor can the memo
+    # hold more than _MEMO_LIMIT: a grid of more points turns nothing on.
+    most = min(size << (k - c - 1), _MEMO_LIMIT)
+    common, width = 1, 0
+    for n in ns:
+        if width:  # n may lie within the width of the grid found so far
+            error = n * common % whole
+            if min(error, whole - error) < common * width:
+                continue
+        # The convergents p / q of n / whole: Euclid's remainder at each step
+        # is |n * q - p * whole|, so delta = n - p * whole / q is that over q.
+        # Keep the one with the fewest points, about q + |n * q - p * whole|.
+        num, den, before, q = n, whole, 1, 0
+        fewest = whole + 1  # more than the first convergent's, 1 + n % whole
+        while den:
+            t, rest = divmod(num, den)
+            before, q = q, t * q + before
+            if q > most:
+                break
+            if q + rest < fewest:
+                fewest, best, error = q + rest, q, rest
+            if rest < q:
+                break  # |delta| < 1: every later convergent has more points
+            num, den = den, rest
+        common = lcm(common, best)
+        width = max(width, error // best + 1)
+        if common > most:
+            break
+    quotients = (size + 1) * (isqrt(max(ns)) + 1)
+    for a in range(c + 1, k):
+        visits = (size << (k - a)) * (a - c)
+        if (quotients < visits or periods[a] < visits
+                or common * (width // moduli[a] + 1) + size < visits):
+            levels[a] = {}
+    return levels
+
+
 def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
-         survivors: list[int], cum: array) -> list[int]:
+         survivors: list[int], cum: array, memo: list[dict | None]) -> list[int]:
     """phi(n, a): how many of 1..n no modulus among ``moduli[:a]`` divides,
     for every n in ``ns`` and a = len(moduli).
 
     ``moduli`` ascend and are pairwise coprime; the first c of them are
     resolved by the table ``cum``, where cum[r] counts the survivors in
     1..r for r < P_c; periods[a] = P_a is the product of moduli[:a], and
-    survivors[a] = S_a the survivors in one P_a.
+    survivors[a] = S_a the survivors in one P_a; memo[a] keeps phi(r, a),
+    or is None where level a keeps nothing (see ``_memo_levels``).
 
     The peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1) is walked
     down its spine (n, a), (n, a - 1), ... to the table, one child
@@ -278,18 +337,14 @@ def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
       holds about v * (|delta| + 1) residues, and the tree collapses to
       polynomial size.
 
-    The last two pay only where residues repeat.  Where they do not, as at
-    a random n below the period, the memo runs out of room (see
-    _MEMO_TRIAL), and the walk goes on with neither: no lookup, no
-    reduction, nothing kept.  Open nodes wait on an explicit stack, so the
-    depth of the tree (up to one level per modulus) never meets Python's
-    recursion limit.
+    The last two pay only where residues repeat.  At a level where they
+    would not, as at a random n below the period, memo[a] is None and the
+    walk goes on there with neither: no lookup, no reduction, nothing
+    kept.  Open nodes wait on an explicit stack, so the depth of the tree
+    (up to one level per modulus) never meets Python's recursion limit.
     """
     period, per_period = periods[c], survivors[c]
     lowest = moduli[c] if c < len(moduli) else 0  # any child below it is a leaf
-    leaves = len(ns) << max(len(moduli) - c, 0)
-    room = _MEMO_TRIAL if leaves >= _MEMO_TRIAL else 0
-    memo = [{} for _ in periods] if room else []
     left = _MEMO_LIMIT
     frames = []   # the open nodes below the one in hand
     pending = []  # (a, r, value so far) of each node (r, a) to store on close
@@ -303,16 +358,15 @@ def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
         value, start = 0, 0
         while True:
             while i > c:
-                if room > 0 and n >= periods[i]:
+                if (level := memo[i]) is not None and n >= periods[i]:
                     q, n = divmod(n, periods[i])
                     value += q * survivors[i]
                     if n < moduli[i - 1]:
                         i = bisect_right(moduli, n, c, i)
                         continue
-                    known = memo[i].get(n)
+                    known = level.get(n)
                     if known is not None:
                         value += known
-                        room += 1
                         n = 0  # the rest of the spine is known: phi(0, c) = 0
                         break
                     pending.append((i, n, value))
@@ -323,23 +377,24 @@ def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
                     value -= q * per_period + cum[r]
                     continue
                 j = i if d >= moduli[i - 1] else bisect_right(moduli, d, c, i)
-                if room > 0 and (known := memo[j].get(d)) is not None:
-                    value -= known
-                    room += 1
-                    continue
+                level = memo[j]
+                if level is not None:
+                    known = level.get(d)
+                    if known is not None:
+                        value -= known
+                        continue
                 frames.append((n, i, value, start))
                 start = len(pending)
-                if room > 0:
+                if level is not None:
                     pending.append((j, d, 0))
                 n, i, value = d, j, 0
             q, r = divmod(n, period)
             value += q * per_period + cum[r]
             if len(pending) > start:
                 for a, r, before in pending[start:]:
-                    if room <= 0 or not left:
+                    if not left:
                         break
                     memo[a][r] = value - before
-                    room -= 1
                     left -= 1
                 del pending[start:]
             if not frames:
@@ -382,6 +437,7 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
             break
         periods.append(periods[-1] * m)
         survivors.append(survivors[-1] * (m - 1))
+    whole = periods[k] if k < len(periods) else prod(moduli[:k])
     periods += [top + 1] * (len(moduli) + 1 - len(periods))
     c = _table
     if c is None:
@@ -392,7 +448,14 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
             c += 1
     flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top
-    return _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)))
+    return _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)),
+                _memo_levels(ns, moduli, k, c, periods, whole))
+
+
+def _kernel_count(basis: CoprimeBasis, x, method: str) -> CountResult:
+    """floor(x)'s count by the phi kernel, tagged with ``method``."""
+    [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])
+    return CountResult(value, method)
 
 
 def count_meissel(basis: CoprimeBasis, x) -> CountResult:
@@ -402,16 +465,16 @@ def count_meissel(basis: CoprimeBasis, x) -> CountResult:
     that are <= x/m, so f(x) = f'(x) - f'(x / m).  Evaluated on floor(x)
     by the integer kernel (see ``_phi``): a survivor table resolves the
     smallest moduli, each peel skips straight past the moduli above its
-    argument, and each level reduces by its own period and remembers the
-    residues.  Near a rational point u * P / v + delta of the period the
-    cost is polynomial, about k * v * (|delta| + 1) nodes for k moduli (25
-    primes at P // 3 take about 2 ms, 1000 primes about 25 ms); at a
-    random x near the period the memo turns itself off, and the walk has
-    the peel's 2^(k - c) leaves, c being the moduli in the table (22 primes about 60 ms, and each further
-    prime doubles that).
+    argument, and each level where residues repeat reduces by its own
+    period and remembers the residues (see ``_memo_levels``).  Near a
+    rational point u * P / v + delta of the period the cost is polynomial,
+    about k * v * (|delta| + 1) nodes for k moduli (25 primes at P // 3
+    take about 2 ms, 1000 primes about 25 ms); at a random x near the
+    period no residue repeats, no level keeps a memo, and the walk has the
+    peel's 2^(k - c) leaves, c being the moduli in the table (22 primes
+    about 60 ms, and each further prime doubles that).
     """
-    [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])
-    return CountResult(value, METHOD_MEISSEL)
+    return _kernel_count(basis, x, METHOD_MEISSEL)
 
 
 def count_generalized_meissel(basis: CoprimeBasis, drop: int, x) -> CountResult:
@@ -432,11 +495,10 @@ def count_periodic(basis: CoprimeBasis, x) -> CountResult:
 
     f(K * period + r) = K * survivor_count + f(r), so only r in [0, period)
     ever needs direct evaluation; the kernel applies the same reduction at
-    every level of its peel (see ``_phi``).  Cheap for astronomically
-    large x.
+    each level of its peel where residues repeat (see ``_phi``).  Cheap
+    for astronomically large x.
     """
-    [value] = _floor_counts(basis.moduli, [_floor_boundary(x)])
-    return CountResult(value, METHOD_PERIODIC)
+    return _kernel_count(basis, x, METHOD_PERIODIC)
 
 
 def count_strictly_below(basis: CoprimeBasis, x) -> int:

@@ -574,4 +574,6 @@ def run_checks(depth: str = "standard", seed: int = 0,
             results.append(CheckResult(name, True, detail))
         except AssertionError as exc:
             results.append(CheckResult(name, False, str(exc) or "assertion failed"))
+        except Exception as exc:  # a library call that raises fails its check
+            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
     return results

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sievecycles import cli, make_prime_basis
+from sievecycles import cli, make_prime_basis, verify
 from sievecycles.verify import CheckResult
 
 
@@ -379,6 +379,19 @@ class TestVerifyCommand:
         code, text = run_cli("verify", "--depth", "small")
         assert code == 3
         assert "FAIL fake.check" in text
+
+    def test_a_check_that_raises_fails_and_the_rest_still_run(self, monkeypatch):
+        def multiply(u, v):
+            raise ValueError("entry 40 out of range for modulus 25")
+        monkeypatch.setattr(verify, "multiply", multiply)
+        code, text = run_cli("verify", "--depth", "small",
+                             "--checks", "ring.product_map,ring.bijection")
+        assert code == 3
+        passed, failed, total = text.splitlines()  # in CHECKS order
+        assert passed.startswith("PASS ring.bijection: ")
+        assert failed == ("FAIL ring.product_map: raised ValueError: "
+                          "entry 40 out of range for modulus 25")
+        assert total == "passed 1/2 at depth small"
 
     def test_json_report(self):
         code, text = run_cli("verify", "--depth", "small",

@@ -1,5 +1,8 @@
+import random
+import signal
 import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, prod
@@ -35,14 +38,22 @@ from sievecycles.counting import (
     _signed_products,
 )
 
-# The kernel's memo is on while it has room and stores at most _MEMO_LIMIT
-# nodes; once its room runs out, the walk goes on with no lookup, no
-# period reduction and no store.  Each setting forces one side of that
-# rule; no count may depend on which side ran.
+
+def every_level(on):
+    """A stand-in for ``_memo_levels`` that keeps a memo at every level, or
+    at none."""
+    return lambda ns, moduli, k, c, periods, whole: [{} if on else None for _ in periods]
+
+
+# ``_memo_levels`` decides, level by level, where the kernel keeps a memo
+# (with the period reduction), and the memo stores at most _MEMO_LIMIT
+# nodes; past that the walk goes on looking up but storing nothing.  Each
+# setting forces one side of those rules; no count may depend on which
+# side ran.
 MEMO_SETTINGS = {
     "default": {"_MEMO_LIMIT": counting._MEMO_LIMIT},
-    "never on": {"_MEMO_TRIAL": 0},
-    "off after 7 nodes": {"_MEMO_TRIAL": 7},
+    "every level off": {"_memo_levels": every_level(False)},
+    "every level on": {"_memo_levels": every_level(True)},
     "full after 5 nodes": {"_MEMO_LIMIT": 5},
 }
 
@@ -338,13 +349,18 @@ def test_every_table_size_matches_oracle_and_legendre(case, drop_seed):
         assert _floor_counts(basis.moduli, [n, n // d], _table=c) == [expected, expected_struck]
 
 
-def kernel_table(moduli, ns):
-    """(c, entries): how many moduli the kernel's table covers when it
-    counts ``ns``, and how many entries it has, read from the arguments
-    ``_floor_counts`` hands to ``_phi``; the walk itself is skipped."""
+def kernel_args(moduli, ns):
+    """The arguments ``_floor_counts`` hands to ``_phi`` when it counts
+    ``ns``; the walk itself is skipped."""
     with patch.object(counting, "_phi", return_value=[]) as phi:
         _floor_counts(moduli, ns)
-    _, _, c, _, _, cum = phi.call_args.args
+    return phi.call_args.args
+
+
+def kernel_table(moduli, ns):
+    """(c, entries): how many moduli the kernel's table covers when it
+    counts ``ns``, and how many entries it has."""
+    _, _, c, _, _, cum, _ = kernel_args(moduli, ns)
     return c, len(cum)
 
 
@@ -364,8 +380,8 @@ class TestTableRule:
 
     @pytest.mark.parametrize("moduli, n", [
         (make_prime_basis(25).moduli, make_prime_basis(25).period // 3),
-        # Random points below the period, where the memo turns itself off
-        # and the table does the most.  One entry per leaf would stop 20
+        # Random points below the period, where no level keeps a memo and
+        # the table does the most.  One entry per leaf would stop 20
         # primes at 2310 and walk twice the leaves.
         (make_prime_basis(22).moduli, 1199543583607360214466015606207),
         (make_prime_basis(20).moduli, 491355798804200279293287319),
@@ -467,7 +483,7 @@ def test_kernel_matches_legendre_at_rational_and_random_points(case, setting):
 
 @settings(max_examples=5, deadline=None)
 @given(rational_point([PRIMES[:16] + (59, 61, 67, 71), make_prime_basis(22).moduli]),
-       st.sampled_from(["default", "never on"]))
+       st.sampled_from(sorted(MEMO_SETTINGS)))
 def test_kernel_matches_legendre_at_20_and_22_primes(case, setting):
     moduli, n = case
     kernel_against_legendre(moduli, [n], setting)
@@ -503,6 +519,63 @@ def test_subdivision_of_100_primes():
     # subdivision checks its own equal-count law at all 96 boundaries.
     report = subdivision(make_prime_basis(100), 97)
     assert len(report.intervals) == 96
+
+
+@contextmanager
+def finishes_within(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("k, m", [(35, 149), (120, 659)])
+def test_subdivision_by_the_largest_prime_finishes(k, m):
+    # Residues repeat here only after thousands of stores: a memo judged by
+    # its first hits gives up, and the walk falls back to the 2^k peel.
+    # Theorem 3 gives every count.
+    basis = make_prime_basis(k)
+    with finishes_within(5):
+        report = subdivision(basis, m)
+    step = basis.without(m).survivor_count
+    assert [iv.cumulative_count for iv in report.intervals] == [K * step for K in range(1, m)]
+
+
+def memo_plan(moduli, ns):
+    """(c, on): the moduli in the kernel's table, and the levels above it
+    that ``_memo_levels`` gives a memo when the kernel counts ``ns``."""
+    _, _, c, _, _, _, memo = kernel_args(moduli, ns)
+    return c, [a for a, level in enumerate(memo) if level is not None]
+
+
+class TestMemoRule:
+    @pytest.mark.parametrize("k, m, K", [(25, 13, 5), (25, 97, 32), (100, 97, 32)])
+    def test_every_level_above_the_table_at_a_subdivision_point(self, k, m, K):
+        basis = make_prime_basis(k)
+        c, on = memo_plan(basis.moduli, [K * basis.period // (m - 1)])
+        assert on == list(range(c + 1, k))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_level_at_a_random_point_of_22_primes(self, seed):
+        # Near P no residue repeats: 2^(22 - a) visits to level a against
+        # P_a residues, and no rational point with a small denominator.
+        basis = make_prime_basis(22)
+        n = random.Random(seed).randrange(basis.period // 2, basis.period)
+        assert memo_plan(basis.moduli, [n])[1] == []
+
+    def test_low_levels_far_below_the_period(self):
+        # floor(10^10 / d) takes at most 2 * 10^5 values, far fewer than the
+        # visits to the low levels of 100 primes; the top few get too few.
+        moduli = make_prime_basis(100).moduli
+        c, on = memo_plan(moduli, [10**10])
+        assert set(range(c + 1, 80)) <= set(on)
+        assert 99 not in on
 
 
 # Legendre's flat table of signed products and its walk over the larger
