@@ -252,10 +252,11 @@ def _memo_levels(ns: list[int], moduli: tuple[int, ...], k: int, c: int,
     """The memo of each level a of the walk over ``ns``: an empty dict where
     phi(r, a) repeats residues r often enough to pay, else None.
 
-    ``moduli[:k]`` are the moduli <= max(ns), whose product is ``whole``;
-    the table resolves moduli[:c], and periods[a] bounds the residues of
-    level a.  The memo-blind peel visits N = len(ns) * 2^(k - a) nodes at
-    level a, each floor(n / d) for a product d of moduli[a:k].  If they
+    ``moduli[:k]`` are the moduli <= max(ns), whose product ``whole``
+    exceeds every n (see ``_floor_counts``); the table resolves
+    moduli[:c], and periods[a] bounds the residues of level a.  The
+    memo-blind peel visits N = len(ns) * 2^(k - a) nodes at level a, each
+    floor(n / d) for a product d of moduli[a:k].  If they
     take at most D distinct residues, about N^2 / 2D of them repeat (all
     but D once N > D), and each repeat saves the a - c steps of a spine,
     while each visit costs one lookup: the level pays where D < N * (a - c).
@@ -287,8 +288,9 @@ def _memo_levels(ns: list[int], moduli: tuple[int, ...], k: int, c: int,
         # The convergents p / q of n / whole: Euclid's remainder at each step
         # is |n * q - p * whole|, so delta = n - p * whole / q is that over q.
         # Keep the one with the fewest points, about q + |n * q - p * whole|.
-        num, den, before, q = n, whole, 1, 0
-        fewest = whole + 1  # more than the first convergent's, 1 + n % whole
+        # The first, 0 / 1 (n < whole), has n itself for its remainder.
+        fewest, best, error = n + 1, 1, n
+        num, den, before, q = whole, n, 0, 1
         while den:
             t, rest = divmod(num, den)
             before, q = q, t * q + before
@@ -411,8 +413,11 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
     """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
     pairwise-coprime ``moduli``, all through one kernel (see ``_phi``).
 
-    Only the k moduli <= max(ns) can strike anything.  With c of them in
-    the kernel's survivor table, each n walks a peel of at most 2^(k - c)
+    Only the k moduli <= max(ns) can strike anything, and their survivors
+    repeat with period P_k, so each n >= P_k is first reduced modulo P_k
+    (until max(ns) < P_k for the k of the residues): the table, the memo
+    rule and the walk below see only residues.  With c moduli in the
+    kernel's survivor table, each n walks a peel of at most 2^(k - c)
     leaves, so taking modulus c in as well removes up to
     len(ns) * 2^(k - c - 1) leaves, at the cost of a table of
     min(P_{c+1}, max(ns) + 1) entries, P_{c+1} being the product of
@@ -428,16 +433,25 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
     _require_ascending(moduli)
     top = max(ns, default=0)
     k = bisect_right(moduli, top)
-    moduli = moduli[:max(k, _table or 0)]  # the rest strike nothing
     # Past a period above both top and the ceiling, no node is ever reduced
     # and no modulus joins the table: any period above top will do there.
     periods, survivors = [1], [1]
-    for m in moduli:
-        if periods[-1] > max(top, _TABLE_LIMIT):
+    bound = max(top, _TABLE_LIMIT)
+    for m in moduli[:max(k, _table or 0)]:
+        if periods[-1] > bound:
             break
         periods.append(periods[-1] * m)
         survivors.append(survivors[-1] * (m - 1))
     whole = periods[k] if k < len(periods) else prod(moduli[:k])
+    waves = [0] * len(ns)
+    while whole <= top:
+        # f(q * P_k + r) = q * S_k + f(r) (Lehmer)
+        waves = [w + n // whole * survivors[k] for w, n in zip(waves, ns)]
+        ns = [n % whole for n in ns]
+        top = max(ns)
+        k = bisect_right(moduli, top, 0, k)
+        whole = periods[k]
+    moduli = moduli[:max(k, _table or 0)]  # the rest strike nothing
     periods += [top + 1] * (len(moduli) + 1 - len(periods))
     c = _table
     if c is None:
@@ -448,8 +462,9 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
             c += 1
     flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top
-    return _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)),
-                _memo_levels(ns, moduli, k, c, periods, whole))
+    counts = _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)),
+                  _memo_levels(ns, moduli, k, c, periods, whole))
+    return [w + v for w, v in zip(waves, counts)]
 
 
 def _kernel_count(basis: CoprimeBasis, x, method: str) -> CountResult:
@@ -494,9 +509,10 @@ def count_periodic(basis: CoprimeBasis, x) -> CountResult:
     """Count floor(x) by the kernel, which reduces by the period first.
 
     f(K * period + r) = K * survivor_count + f(r), so only r in [0, period)
-    ever needs direct evaluation; the kernel applies the same reduction at
-    each level of its peel where residues repeat (see ``_phi``).  Cheap
-    for astronomically large x.
+    ever needs direct evaluation: the kernel reduces by the period of the
+    moduli <= x before it walks (see ``_floor_counts``), and again at each
+    level of its peel where residues repeat (see ``_phi``).  Cheap for
+    astronomically large x.
     """
     return _kernel_count(basis, x, METHOD_PERIODIC)
 

@@ -261,6 +261,10 @@ def kernel_case(draw):
 # An equal-count boundary of six primes, which cycles.uniform_counts never
 # draws at depth small
 @example(((2, 3, 5, 7, 11, 13), 13, 5, Fraction(5 * 30030, 12), 0))
+# Each modulus is one more than the product of those below it, so a residue
+# modulo one period can reach the period below: 3 * P + 1806 reduces to
+# 1806, and 1806 = 2 * 3 * 7 * 43, the period of the moduli <= 1806, to 0.
+@example(((2, 3, 7, 43, 1807), 1807, 1, Fraction(1806), 3))
 def test_kernel_routes_match_oracle_and_legendre(case):
     moduli, m, k, y, waves = case
     basis = make_basis(moduli)
@@ -419,9 +423,13 @@ class TestTableRule:
     @example(7, [127])
     def test_entries_stay_within_the_bound_per_leaf_removed(self, size, ns):
         moduli = make_prime_basis(size).moduli
-        c, entries = kernel_table(moduli, ns)
-        top = max(ns)
+        # The rule sees the residues the walk is given: each n reduced by
+        # the period of the moduli <= n, until it falls below that period.
+        walked, _, c, _, _, cum, _ = kernel_args(moduli, ns)
+        entries = len(cum)
+        top = max(walked)
         k = bisect_right(moduli, top)
+        assert len(walked) == len(ns) and top < prod(moduli[:k])
         assert c <= k
         assert entries == min(prod(moduli[:c]), top + 1)
         if c > 0:  # the last modulus taken, moduli[c - 1], removes these
@@ -545,6 +553,19 @@ def test_subdivision_by_the_largest_prime_finishes(k, m):
         report = subdivision(basis, m)
     step = basis.without(m).survivor_count
     assert [iv.cumulative_count for iv in report.intervals] == [K * step for K in range(1, m)]
+
+
+def test_whole_periods_above_a_far_residue_finish():
+    # K * P + 10^12 over 30 primes: the residue lies far below P and near
+    # no point u * P / v of small v, so only the reduction by P itself
+    # shrinks the walk; without it no level pays for a memo there.
+    basis = make_prime_basis(30)
+    r = 10**12
+    below = count_legendre(basis, r).value
+    with finishes_within(5):
+        for K in (1, 7):
+            assert count_periodic(basis, K * basis.period + r).value == \
+                K * basis.survivor_count + below
 
 
 def memo_plan(moduli, ns):
