@@ -23,12 +23,14 @@ same exact integer:
 * ``count_meissel``        -- peel off the largest modulus m via
                               f(x) = f'(x) - f'(x / m), evaluated by the
                               phi(n, a) kernel: a survivor table for the
-                              smallest moduli, sized to the work it saves
-                              up to a ceiling of 2^16 entries, a shortcut
-                              past moduli above n, and, at each level
-                              where the input makes residues repeat, a
-                              reduction by that level's own period and a
-                              memo of its residues.  At the paper's
+                              smallest moduli, of at most 2^16 entries, a
+                              shortcut past moduli above n, and, at each
+                              level where the input makes residues repeat,
+                              a reduction by that level's own period and a
+                              memo of its residues.  One estimate of each
+                              level's distinct residues sizes the table to
+                              the work it saves and picks the memo levels.
+                              At the paper's
                               rational boundaries u * P / v + delta it is
                               polynomial in the number of moduli; at a
                               random n near P still 2^(k - c) leaves.
@@ -222,45 +224,40 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
 
 # Below _TABLE_LIMIT the phi kernel's table is sized to the work it
 # saves.  Taking one more modulus into the table multiplies its entries
-# by that modulus and halves the leaves of the peel over the moduli left
-# outside it.  In CPython 3.11 on x86-64 one table entry (marked by
+# by that modulus and removes a level of the peel: the leaves under it
+# without a memo, or its distinct residues with one, whichever are fewer
+# (see ``_plan``).  In CPython 3.11 on x86-64 one table entry (marked by
 # ``survivor_flags``, summed by ``array("I", accumulate(...))``) costs
 # 43-51 ns, and one leaf of the peel (a quotient, a table lookup and the
 # loop step around them) 700-830 ns: a leaf is worth about 16 entries, so
 # a modulus pays for itself while its table has at most 16 entries per
-# leaf it saves.  The leaf count is exact where no level above the table
-# keeps a memo, as at a random n below the period; at the paper's rational
-# boundaries the memo collapses the peel and a smaller table would do.
-# One entry per leaf, the rule for those boundaries, made random n at
-# 14-20 primes up to 1.8 times slower.
+# node it removes.
 _ENTRIES_PER_LEAF = 16
 
 
 # The phi kernel's memo (see ``_phi``) pays only where residues repeat.
 # With it on, a node costs about 1.8 times as much as with it off
 # (CPython 3.11 on x86-64, 22 primes at random n below the period, where
-# nothing repeats), so ``_memo_levels`` turns it on level by level, before
-# the walk, only where the input says residues will repeat.  It never
-# stores more than _MEMO_LIMIT nodes in one call: near the period of 1000
-# primes a node holds ints of thousands of digits, and the 94,000 nodes of
-# one subdivision take about 140 MiB.
+# nothing repeats), so ``_plan`` turns it on level by level, before the
+# walk, only where the input says residues will repeat.  It never stores
+# more than _MEMO_LIMIT nodes in one call: near the period of 1000 primes
+# a node holds ints of thousands of digits, and the 94,000 nodes of one
+# subdivision take about 140 MiB.
 _MEMO_LIMIT = 1 << 17
 
 
-def _memo_levels(ns: list[int], moduli: tuple[int, ...], k: int, c: int,
-                 periods: list[int], whole: int) -> list[dict | None]:
-    """The memo of each level a of the walk over ``ns``: an empty dict where
-    phi(r, a) repeats residues r often enough to pay, else None.
+def _plan(ns: list[int], moduli: tuple[int, ...], k: int,
+          periods: list[int], whole: int) -> tuple[int, list[dict | None]]:
+    """The plan of the walk over ``ns``: c, how many moduli the table
+    resolves, and the memo of each level a, an empty dict where phi(r, a)
+    repeats residues r often enough to pay, else None.
 
     ``moduli[:k]`` are the moduli <= max(ns), whose product ``whole``
-    exceeds every n (see ``_floor_counts``); the table resolves
-    moduli[:c], and periods[a] bounds the residues of level a.  The
-    memo-blind peel visits N = len(ns) * 2^(k - a) nodes at level a, each
-    floor(n / d) for a product d of moduli[a:k].  If they
-    take at most D distinct residues, about N^2 / 2D of them repeat (all
-    but D once N > D), and each repeat saves the a - c steps of a spine,
-    while each visit costs one lookup: the level pays where D < N * (a - c).
-    Three bounds count D:
+    exceeds every n (see ``_floor_counts``), and periods[a] bounds the
+    residues of level a.  The memo-blind peel visits N = len(ns) * 2^(k - a)
+    nodes at level a, each floor(n / d) for a product d of moduli[a:k].
+    Both choices rest on D_a, the least of three bounds on how many of
+    those nodes differ:
 
     * periods[a], the residues modulo P_a;
     * about (len(ns) + 1) * sqrt(max(ns)), the distinct quotients floor(n / d);
@@ -271,13 +268,31 @@ def _memo_levels(ns: list[int], moduli: tuple[int, ...], k: int, c: int,
       lcm of those v and width the largest floor(|delta|) + 1.  Every d
       other than 1 is at least moduli[a], so floor(n / d) modulo P_a lies
       within |delta| / moduli[a] of one of common points.
+
+    The table first takes moduli[c] while P_{c+1} stays within
+    _TABLE_LIMIT and its min(P_{c+1}, max(ns) + 1) entries within
+    _ENTRIES_PER_LEAF per leaf the modulus removes, N at level c + 1.  It
+    then gives its last modulus back while the entries exceed
+    _ENTRIES_PER_LEAF per residue D_c: with a memo, a level costs the walk
+    about one node per residue, however many leaves it has.  Above the
+    table, about N^2 / 2D of a level's N visits repeat (all but D once
+    N > D), and each repeat saves the a - c steps of a spine, while each
+    visit costs one lookup: level a keeps a memo where D_a < N * (a - c).
     """
-    levels = [None] * len(periods)
-    if k <= c + 1:
-        return levels  # no level between the table and the top to decide
-    size = len(ns)
-    # No level visits more than size << (k - c - 1) nodes, nor can the memo
-    # hold more than _MEMO_LIMIT: a grid of more points turns nothing on.
+    size, top = len(ns), max(ns, default=0)
+    # Counting leaves alone bounds the table from above; D can only
+    # shrink it.
+    c = 0
+    while (c < k and periods[c + 1] <= _TABLE_LIMIT
+           and min(periods[c + 1], top + 1)
+           <= _ENTRIES_PER_LEAF * (size << (k - c - 1))):
+        c += 1
+    memo = [None] * len(periods)
+    if c == k:
+        return c, memo  # the table resolves every modulus that strikes
+    # No level above that table visits more than size << (k - c - 1) nodes,
+    # nor can the memo hold more than _MEMO_LIMIT: a grid of more points
+    # turns nothing on there, and shrinks no table.
     most = min(size << (k - c - 1), _MEMO_LIMIT)
     common, width = 1, 0
     for n in ns:
@@ -305,13 +320,19 @@ def _memo_levels(ns: list[int], moduli: tuple[int, ...], k: int, c: int,
         width = max(width, error // best + 1)
         if common > most:
             break
-    quotients = (size + 1) * (isqrt(max(ns)) + 1)
+    # D_a is the least of periods[a], quotients and the grid's points.  A
+    # table's entries never exceed _ENTRIES_PER_LEAF * P_c, so that bound
+    # never shrinks it and is left out there.
+    quotients = (size + 1) * (isqrt(top) + 1)
+    while c and (min(periods[c], top + 1) > _ENTRIES_PER_LEAF
+                 * min(quotients, common * (width // moduli[c] + 1) + size)):
+        c -= 1
     for a in range(c + 1, k):
         visits = (size << (k - a)) * (a - c)
         if (quotients < visits or periods[a] < visits
                 or common * (width // moduli[a] + 1) + size < visits):
-            levels[a] = {}
-    return levels
+            memo[a] = {}
+    return c, memo
 
 
 def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
@@ -323,7 +344,8 @@ def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
     resolved by the table ``cum``, where cum[r] counts the survivors in
     1..r for r < P_c; periods[a] = P_a is the product of moduli[:a], and
     survivors[a] = S_a the survivors in one P_a; memo[a] keeps phi(r, a),
-    or is None where level a keeps nothing (see ``_memo_levels``).
+    or is None where level a keeps nothing.  ``_plan`` chooses c and the
+    levels that keep a memo.
 
     The peel phi(n, a) = phi(n, a - 1) - phi(n // m_a, a - 1) is walked
     down its spine (n, a), (n, a - 1), ... to the table, one child
@@ -408,27 +430,20 @@ def _phi(ns: list[int], moduli: tuple[int, ...], c: int, periods: list[int],
     return counts
 
 
-def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
-                  _table: int | None = None) -> list[int]:
+def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
     """Survivors in 1..n for each integer n >= 0 in ``ns``, over ascending,
     pairwise-coprime ``moduli``, all through one kernel (see ``_phi``).
 
     Only the k moduli <= max(ns) can strike anything, and their survivors
     repeat with period P_k, so each n >= P_k is first reduced modulo P_k
-    (until max(ns) < P_k for the k of the residues): the table, the memo
-    rule and the walk below see only residues.  With c moduli in the
-    kernel's survivor table, each n walks a peel of at most 2^(k - c)
-    leaves, so taking modulus c in as well removes up to
-    len(ns) * 2^(k - c - 1) leaves, at the cost of a table of
-    min(P_{c+1}, max(ns) + 1) entries, P_{c+1} being the product of
-    moduli[:c + 1].  The table takes it while that product stays within
-    _TABLE_LIMIT and those entries within _ENTRIES_PER_LEAF per leaf
-    removed.  One memo serves every n, so boundaries that share residues,
-    such as those of one subdivision, share the nodes below them.
-
-    ``_table`` forces c instead.  Every c from 0 (an empty table) up to
-    the ceiling, P_c <= _TABLE_LIMIT, gives the same counts; only the work
-    differs.
+    (until max(ns) < P_k for the k of the residues): the plan and the walk
+    below see only residues.  ``_plan`` then sizes the survivor table and
+    picks the levels that keep a memo, both from one estimate of each
+    level's distinct residues.  Every table size from 0 (an empty table)
+    up to the ceiling, P_c <= _TABLE_LIMIT, and every choice of memo
+    levels give the same counts; only the work differs.  One memo serves
+    every n, so boundaries that share residues, such as those of one
+    subdivision, share the nodes below them.
     """
     _require_ascending(moduli)
     top = max(ns, default=0)
@@ -437,7 +452,7 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
     # and no modulus joins the table: any period above top will do there.
     periods, survivors = [1], [1]
     bound = max(top, _TABLE_LIMIT)
-    for m in moduli[:max(k, _table or 0)]:
+    for m in moduli[:k]:
         if periods[-1] > bound:
             break
         periods.append(periods[-1] * m)
@@ -451,19 +466,12 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int], *,
         top = max(ns)
         k = bisect_right(moduli, top, 0, k)
         whole = periods[k]
-    moduli = moduli[:max(k, _table or 0)]  # the rest strike nothing
-    periods += [top + 1] * (len(moduli) + 1 - len(periods))
-    c = _table
-    if c is None:
-        c = 0
-        while (c < k and periods[c + 1] <= _TABLE_LIMIT
-               and min(periods[c + 1], top + 1)
-               <= _ENTRIES_PER_LEAF * (len(ns) << (k - c - 1))):
-            c += 1
+    moduli = moduli[:k]  # the rest strike nothing
+    periods += [top + 1] * (k + 1 - len(periods))
+    c, memo = _plan(ns, moduli, k, periods, whole)
     flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top
-    counts = _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)),
-                  _memo_levels(ns, moduli, k, c, periods, whole))
+    counts = _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)), memo)
     return [w + v for w, v in zip(waves, counts)]
 
 
@@ -481,10 +489,11 @@ def count_meissel(basis: CoprimeBasis, x) -> CountResult:
     by the integer kernel (see ``_phi``): a survivor table resolves the
     smallest moduli, each peel skips straight past the moduli above its
     argument, and each level where residues repeat reduces by its own
-    period and remembers the residues (see ``_memo_levels``).  Near a
-    rational point u * P / v + delta of the period the cost is polynomial,
-    about k * v * (|delta| + 1) nodes for k moduli (25 primes at P // 3
-    take about 2 ms, 1000 primes about 25 ms); at a random x near the
+    period and remembers the residues; one estimate of each level's
+    distinct residues plans both (see ``_plan``).  Near a rational point
+    u * P / v + delta of the period the cost is polynomial, about
+    k * v * (|delta| + 1) nodes for k moduli (25 primes at P // 3 take
+    about 0.2 ms, 1000 primes about 15 ms); at a random x near the
     period no residue repeats, no level keeps a memo, and the walk has the
     peel's 2^(k - c) leaves, c being the moduli in the table (22 primes
     about 60 ms, and each further prime doubles that).

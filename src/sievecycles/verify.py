@@ -53,6 +53,7 @@ class DepthParams:
     exhaustive_cap: int   # periods up to this get full scans
     pair_cap: int         # largest period for center enumeration
     boundary_cap: int     # ceiling for random boundaries
+    subdivided_primes: int = 0  # one subdivision of 30 to this many primes; 0: none
 
 
 _PARAMS = {
@@ -61,7 +62,8 @@ _PARAMS = {
     "standard": DepthParams(samples=200, max_primes=8, exhaustive_cap=6 * 10**4,
                             pair_cap=3 * 10**4, boundary_cap=10**5),
     "deep": DepthParams(samples=1000, max_primes=8, exhaustive_cap=6 * 10**5,
-                        pair_cap=3 * 10**5, boundary_cap=10**6),
+                        pair_cap=3 * 10**5, boundary_cap=10**6,
+                        subdivided_primes=150),
 }
 DEPTHS = tuple(_PARAMS)
 
@@ -124,10 +126,13 @@ def check_wheel_periodicity(rng, p):
         period = basis.period
         x = rng.randint(0, 4 * period)
         k = rng.randint(0, 5)
-        _require(is_survivor(basis, x) == is_survivor(basis, k * period + x),
-                 f"period shift changed survivorship at x={x}, K={k}, "
-                 f"basis={basis.moduli}")
-    return f"{p.samples} random shifts"
+        # the edges of the period, each shifted by at least one period
+        for y, shift in ((x, k), (0, k + 1), (1, k + 1), (period - 1, k + 1),
+                         (period, k + 1)):
+            _require(is_survivor(basis, y) == is_survivor(basis, shift * period + y),
+                     f"period shift changed survivorship at x={y}, K={shift}, "
+                     f"basis={basis.moduli}")
+    return f"{p.samples} random shifts, and 0, 1, P - 1 and P on each basis"
 
 
 def check_wheel_symmetry(rng, p):
@@ -351,7 +356,19 @@ def check_cycles_uniform_counts(rng, p):
                  f"{chosen - 1} intervals of {step} miss the total {expected_total}")
         _require(subdivision_boundary_check(basis),
                  f"first boundary carries no full reduced period, basis={basis.moduli}")
-    return f"{rounds} (basis, modulus) subdivisions"
+    if not p.subdivided_primes:
+        return f"{rounds} (basis, modulus) subdivisions"
+    # Far out of reach of the oracle and of Legendre: Theorem 3 alone gives
+    # each count, K times the survivors of the basis without the modulus.
+    basis = make_prime_basis(rng.randint(30, p.subdivided_primes))
+    chosen = basis.largest()
+    step = basis.without(chosen).survivor_count
+    for k, iv in enumerate(subdivision(basis, chosen).intervals, start=1):
+        _require(iv.cumulative_count == k * step,
+                 f"boundary K={k} of the first {len(basis)} primes by {chosen} "
+                 f"holds {iv.cumulative_count}, wanted {k * step}")
+    return (f"{rounds} (basis, modulus) subdivisions, and the first "
+            f"{len(basis)} primes by {chosen}")
 
 
 def check_cycles_row_consistency(rng, p):
@@ -529,7 +546,15 @@ def check_ring_group_axioms(rng, p):
             continue
         _require(multiply(u, inverse(u)) == identity(big),
                  f"{u.entries} times its inverse is not the identity")
-    return "full axiom table on one small basis; sampled inverses on a large one"
+    # Over composite moduli, where Fermat's pow(e, m - 2, m) is no inverse.
+    composites = [make_basis((4, 9, 25)), make_basis((20, 2783))]
+    for u in [decompose(b, rng.randrange(b.period)) for b in composites
+              for _ in range(p.samples)]:
+        _require(not is_unit_vector(u) or multiply(u, inverse(u)) == identity(u.basis),
+                 f"{u.entries} times its inverse is not the identity over "
+                 f"{u.basis.moduli}")
+    return ("full axiom table on one small basis; sampled inverses on a large "
+            "one and over (4, 9, 25) and (20, 2783)")
 
 
 def check_ring_product_map(rng, p):

@@ -483,6 +483,42 @@ class TestCapsPastTheIndexRange:
             "of 100000000 residue candidates\n")
 
 
+class TestWheelRefusedBeforeItsBasis:
+    """With --n, a command that materializes a wheel refuses it on the
+    product of the first n primes, before they are checked pairwise
+    coprime: at 30,000 primes that check alone took 2 s."""
+
+    REFUSAL = ("capacity error: a period of 151937 digits exceeds the wheel "
+               "cap of 100000000 residue candidates\n")
+
+    @staticmethod
+    def no_basis(monkeypatch):
+        def unbuilt(moduli):
+            raise AssertionError("a basis was built for a wheel over the cap")
+        monkeypatch.setattr(cli, "CoprimeBasis", unbuilt)
+
+    @pytest.mark.parametrize("argv", [
+        ("wheel",), ("list",), ("pairs", "--enumerate"), ("twins", "--enumerate"),
+    ])
+    def test_no_basis_is_built(self, argv, monkeypatch, capsys):
+        self.no_basis(monkeypatch)
+        assert run_cli(*argv, "--n", "30", "--wheel-cap", "1000") == (2, "")
+        assert "exceeds the wheel cap of 1000" in capsys.readouterr().err
+
+    def test_30000_primes_refused_at_once(self, monkeypatch, capsys):
+        # The primes and their product take 0.25 s (0.5 s under -X dev) on
+        # a 2-core x86-64 host; the check they skip took 2 s more.
+        self.no_basis(monkeypatch)
+        start = time.perf_counter()
+        assert run_cli("wheel", "--n", "30000") == (2, "")
+        assert time.perf_counter() - start < 1.5
+        assert capsys.readouterr().err == self.REFUSAL
+
+    def test_a_census_without_a_wheel_still_answers(self):
+        code, text = run_cli("pairs", "--n", "30", "--wheel-cap", "1000")
+        assert code == 0 and text.startswith("predicted: ")
+
+
 def cli_process_env():
     """The environment of a fresh CLI process, under Python's default digit
     limit."""

@@ -40,20 +40,24 @@ from sievecycles.counting import (
 
 
 def every_level(on):
-    """A stand-in for ``_memo_levels`` that keeps a memo at every level, or
-    at none."""
-    return lambda ns, moduli, k, c, periods, whole: [{} if on else None for _ in periods]
+    """A stand-in for ``_plan`` that keeps its table but a memo at every
+    level, or at none."""
+    plan = counting._plan
+
+    def forced(*args):
+        c, memo = plan(*args)
+        return c, [{} if on else None for _ in memo]
+    return forced
 
 
-# ``_memo_levels`` decides, level by level, where the kernel keeps a memo
-# (with the period reduction), and the memo stores at most _MEMO_LIMIT
-# nodes; past that the walk goes on looking up but storing nothing.  Each
-# setting forces one side of those rules; no count may depend on which
-# side ran.
+# ``_plan`` decides, level by level, where the kernel keeps a memo (with
+# the period reduction), and the memo stores at most _MEMO_LIMIT nodes;
+# past that the walk goes on looking up but storing nothing.  Each setting
+# forces one side of those rules; no count may depend on which side ran.
 MEMO_SETTINGS = {
     "default": {"_MEMO_LIMIT": counting._MEMO_LIMIT},
-    "every level off": {"_memo_levels": every_level(False)},
-    "every level on": {"_memo_levels": every_level(True)},
+    "every level off": {"_plan": every_level(False)},
+    "every level on": {"_plan": every_level(True)},
     "full after 5 nodes": {"_MEMO_LIMIT": 5},
 }
 
@@ -347,10 +351,18 @@ def test_every_table_size_matches_oracle_and_legendre(case, drop_seed):
     assert count_legendre(basis, x).value == expected
     n = floor(x)
     d = moduli[drop_seed % len(moduli)]
+    ns = [n, n // d]
     expected_struck = count_legendre(basis, n // d).value
-    # The kernel takes ascending moduli, as every public route passes them.
+    # A ceiling of P_c and no price on entries force a table of c moduli,
+    # or of all k that strike anything in the residues the kernel walks.
+    walked = kernel_args(basis.moduli, ns)[0]
+    strikes = bisect_right(basis.moduli, max(walked))
     for c in table_sizes(basis.moduli):
-        assert _floor_counts(basis.moduli, [n, n // d], _table=c) == [expected, expected_struck]
+        with patch.multiple(counting, _TABLE_LIMIT=prod(basis.moduli[:c]),
+                            _ENTRIES_PER_LEAF=1 << 64):
+            assert kernel_table(basis.moduli, ns)[0] == min(c, strikes)
+            # The kernel takes ascending moduli, as every public route passes them.
+            assert _floor_counts(basis.moduli, ns) == [expected, expected_struck]
 
 
 def kernel_args(moduli, ns):
@@ -374,7 +386,8 @@ def table_period(moduli, ns):
 
 class TestTableRule:
     """The table takes each modulus whose entries stay within
-    _ENTRIES_PER_LEAF per leaf it removes, up to _TABLE_LIMIT."""
+    _ENTRIES_PER_LEAF per node it removes, the fewer of the leaves below
+    its level and the residues estimated there, up to _TABLE_LIMIT."""
 
     def test_shallow_query_builds_a_smaller_table(self):
         # 12 primes near P/2 walk a peel of a few hundred leaves: the
@@ -383,7 +396,6 @@ class TestTableRule:
         assert 1 < table_period(moduli, [prod(moduli) // 2]) < 30030
 
     @pytest.mark.parametrize("moduli, n", [
-        (make_prime_basis(25).moduli, make_prime_basis(25).period // 3),
         # Random points below the period, where no level keeps a memo and
         # the table does the most.  One entry per leaf would stop 20
         # primes at 2310 and walk twice the leaves.
@@ -392,6 +404,14 @@ class TestTableRule:
     ])
     def test_deep_query_keeps_the_full_table(self, moduli, n):
         assert table_period(moduli, [n]) == 30030
+
+    @pytest.mark.parametrize("m, K", [(97, 5), (97, 32), (13, 5)])
+    def test_rational_point_builds_a_smaller_table(self, m, K):
+        # At K * P / (m - 1) over 25 primes the memo leaves about m
+        # residues per level: the 30030 entries the leaves alone would buy
+        # cost more than the walk they save.
+        basis = make_prime_basis(25)
+        assert 1 < table_period(basis.moduli, [K * basis.period // (m - 1)]) < 30030
 
     def test_far_below_the_period_keeps_the_full_table(self):
         assert table_period(make_prime_basis(100).moduli, [10**9]) == 30030
@@ -436,9 +456,12 @@ class TestTableRule:
             assert entries <= _ENTRIES_PER_LEAF * (len(ns) << (k - c))
         if c < k:  # and the next one would break the ceiling or the rule
             period = prod(moduli[:c + 1])
+            # Each bound on the residues of a level is at least the fewer of
+            # P_a and len(ns) + 1, so a table that stops short of the leaves'
+            # rule had more entries than that to pay for.
             assert (period > _TABLE_LIMIT
                     or min(period, top + 1)
-                    > _ENTRIES_PER_LEAF * (len(ns) << (k - c - 1)))
+                    > _ENTRIES_PER_LEAF * min(len(ns) << (k - c - 1), len(ns) + 1))
 
 
 @pytest.mark.parametrize("m, k", [(97, 32), (13, 5)])
@@ -570,7 +593,7 @@ def test_whole_periods_above_a_far_residue_finish():
 
 def memo_plan(moduli, ns):
     """(c, on): the moduli in the kernel's table, and the levels above it
-    that ``_memo_levels`` gives a memo when the kernel counts ``ns``."""
+    that ``_plan`` gives a memo when the kernel counts ``ns``."""
     _, _, c, _, _, _, memo = kernel_args(moduli, ns)
     return c, [a for a, level in enumerate(memo) if level is not None]
 

@@ -19,6 +19,14 @@ def test_check_passes_at_small_depth(name, seed):
     assert result.detail
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_deep_depth_subdivides_30_to_150_primes(seed):
+    [result] = run_checks(depth="deep", seed=seed, names=["cycles.uniform_counts"])
+    assert result.passed, result.detail
+    primes = int(result.detail.split("the first ")[1].split()[0])
+    assert 30 <= primes <= 150
+
+
 def test_subset_selection():
     names = ["wheel.symmetry", "ring.bijection"]
     results = run_checks(depth="small", names=names)
@@ -47,10 +55,11 @@ def test_deterministic_for_seed():
     assert a == b
 
 
-# One fault per check family, each undone before the next.  Prints the
-# optimize level, then per family the checks that report the fault at seed
-# 0.  (pairs.center_shift misses the pairs fault there, at seeds 1 and 2 it
-# reports it: its 40 samples seldom land where the fault changes a centre.)
+# Faults of each check family, each undone before the next.  Prints the
+# optimize level, then per fault its family and the checks that report it
+# at seed 0.  (pairs.center_shift misses the pairs fault there, at seeds 1
+# and 2 it reports it: its 40 samples seldom land where the fault changes a
+# centre.)
 _INJECTED_FAULTS = """
 import sys
 from unittest.mock import patch
@@ -61,24 +70,30 @@ def meissel_plus_one(b, x):
     honest = counting.count_meissel(b, x)
     return counting.CountResult(honest.value + 1, honest.method)
 
-faults = {
+faults = [
     # every x from half the period on counts as a survivor
-    "wheel": (verify, "is_survivor",
-              lambda b, x: x >= b.period // 2 or basis.is_survivor(b, x)),
-    "count": (verify, "count_meissel", meissel_plus_one),
+    ("wheel", verify, "is_survivor",
+     lambda b, x: x >= b.period // 2 or basis.is_survivor(b, x)),
+    # 0 counts as a survivor
+    ("wheel", verify, "is_survivor", lambda b, x: x == 0 or basis.is_survivor(b, x)),
+    ("count", verify, "count_meissel", meissel_plus_one),
     # every boundary count one too high
-    "cycles": (cycles, "_floor_counts",
-               lambda moduli, ns: [c + 1 for c in counting._floor_counts(moduli, ns)]),
+    ("cycles", cycles, "_floor_counts",
+     lambda moduli, ns: [c + 1 for c in counting._floor_counts(moduli, ns)]),
     # b mod m instead of -b mod m
-    "pairs": (pairs, "_forbidden",
-              lambda m, spec: {spec.left_offset % m, spec.right_offset % m}),
+    ("pairs", pairs, "_forbidden",
+     lambda m, spec: {spec.left_offset % m, spec.right_offset % m}),
     # entries added instead of multiplied
-    "ring": (verify, "multiply",
-             lambda u, v: ResidueVector(u.basis, tuple(
-                 (a + b) % m for a, b, m in zip(u.entries, v.entries, u.basis)))),
-}
+    ("ring", verify, "multiply",
+     lambda u, v: ResidueVector(u.basis, tuple(
+         (a + b) % m for a, b, m in zip(u.entries, v.entries, u.basis)))),
+    # Fermat's inverse, pow(e, m - 2, m): right only for prime m
+    ("ring", verify, "inverse",
+     lambda v: ResidueVector(v.basis, tuple(
+         pow(e, m - 2, m) for e, m in zip(v.entries, v.basis)))),
+]
 print("optimize", sys.flags.optimize)
-for family, (module, name, fault) in faults.items():
+for family, module, name, fault in faults:
     names = [n for n, _ in verify.CHECKS if n.startswith(family + ".")]
     with patch.object(module, name, fault):
         results = verify.run_checks("small", 0, names)
@@ -96,8 +111,10 @@ def test_checks_catch_injected_fault_under_optimize():
     assert done.stdout.splitlines() == [
         "optimize 1",
         "wheel wheel.periodicity wheel.symmetry wheel.composite_moduli",
+        "wheel wheel.periodicity",
         "count count.method_agreement count.peel_largest count.peel_any",
         "cycles cycles.uniform_counts cycles.degenerate_two cycles.fractional_boundaries",
         "pairs pairs.twin_product pairs.merged_offsets pairs.center_mirror",
         "ring ring.group_axioms ring.product_map",
+        "ring ring.group_axioms",
     ]
