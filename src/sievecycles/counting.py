@@ -30,10 +30,10 @@ same exact integer:
                               memo of its residues.  One estimate of each
                               level's distinct residues sizes the table to
                               the work it saves and picks the memo levels.
-                              At the paper's
-                              rational boundaries u * P / v + delta it is
-                              polynomial in the number of moduli; at a
-                              random n near P still 2^(k - c) leaves.
+                              At the paper's rational boundaries
+                              u * P / v + delta it is polynomial in the
+                              number of moduli; at a random n near P still
+                              2^(k - c) leaves.
 * ``count_generalized_meissel`` -- same peel for *any* chosen modulus,
                               over the kernel of the remaining basis.
 * ``count_periodic``       -- the kernel on floor(x), which reduces x
