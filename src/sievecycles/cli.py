@@ -23,17 +23,16 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from math import prod
 
 from .basis import (
     DEFAULT_WHEEL_CAP,
     CoprimeBasis,
     Wheel,
     _check_wheel_cap,
-    _first_primes,
     build_wheel,
     iter_survivors,
     make_basis,
+    make_prime_basis,
     survivor_flags,
 )
 from .counting import (
@@ -113,20 +112,16 @@ def _resolve_caps(args) -> None:
         setattr(args, dest, value)
 
 
-def _basis_from_args(args, *, wheel_cap: int | None = None) -> CoprimeBasis:
-    """The basis of --n or --moduli.  A command that materializes a wheel
-    passes its ``wheel_cap``, and the first n primes are refused on their
-    product before ``CoprimeBasis`` checks them: that check alone takes
-    about 2 s at 30,000 primes, the product 0.3 s."""
+def _basis_from_args(args) -> CoprimeBasis:
+    """The basis of --n or --moduli, checked as every basis is.  A command
+    that materializes a wheel refuses it on the cap once the basis is
+    built: the check costs about what the period's product does."""
     if args.n is not None and args.moduli is not None:
         raise UsageError("--n and --moduli are mutually exclusive")
     if args.n is not None:
         if args.n < 0:
             raise UsageError("--n must be non-negative")
-        primes = _first_primes(args.n)
-        if wheel_cap is not None:
-            _check_wheel_cap(prod(primes), wheel_cap)
-        return CoprimeBasis(primes)
+        return make_prime_basis(args.n)
     if args.moduli is not None:
         try:
             values = [int(tok) for tok in args.moduli.split(",") if tok.strip()]
@@ -320,8 +315,7 @@ def cmd_list(args) -> Report:
             raise UsageError("--from-wheel replaces --n/--moduli")
         wheel = _load_wheel_json(args.from_wheel, cap=args.wheel_cap)
     else:
-        wheel = build_wheel(_basis_from_args(args, wheel_cap=args.wheel_cap),
-                            cap=args.wheel_cap)
+        wheel = build_wheel(_basis_from_args(args), cap=args.wheel_cap)
     lo = args.lo if args.lo is not None else 1
     hi = args.hi if args.hi is not None else wheel.period
     if lo < 0 or hi < lo:
@@ -334,8 +328,7 @@ def cmd_list(args) -> Report:
 
 
 def cmd_wheel(args) -> Report:
-    wheel = build_wheel(_basis_from_args(args, wheel_cap=args.wheel_cap),
-                        cap=args.wheel_cap)
+    wheel = build_wheel(_basis_from_args(args), cap=args.wheel_cap)
     fields = {"period": wheel.period, "count": wheel.count}
     return Report({"command": "wheel"}, wheel.basis.moduli,
                   {**fields, "residues": wheel.residues}, ["residue"],
@@ -344,7 +337,7 @@ def cmd_wheel(args) -> Report:
 
 
 def cmd_pairs(args) -> Report:
-    basis = _basis_from_args(args, wheel_cap=args.wheel_cap if args.enumerate else None)
+    basis = _basis_from_args(args)
     spec = PairSpec(args.a, args.b)
     census = pair_count(basis, spec)
     header = ["modulus", "forbidden", "factor"]

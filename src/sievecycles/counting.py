@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil, floor, isqrt, lcm, prod
 
-from .basis import CoprimeBasis, survivor_flags
+from .basis import CoprimeBasis, _require_ascending, survivor_flags
 from .errors import CapacityError
 
 DEFAULT_ORACLE_CAP = 10**7
@@ -138,13 +138,6 @@ def count_by_sieve(basis: CoprimeBasis, x, *, cap: int = DEFAULT_ORACLE_CAP) -> 
 # most this many entries: Legendre's sum from the signed products of those
 # moduli, the phi kernel from a cumulative survivor table over their product.
 _TABLE_LIMIT = 1 << 16
-
-
-def _require_ascending(moduli: tuple[int, ...]) -> None:
-    """Both exact counters prune on ascending moduli: past the first modulus
-    above n they stop, so a smaller one further on would be miscounted."""
-    if any(a >= b for a, b in zip(moduli, moduli[1:])):
-        raise ValueError("moduli must be strictly increasing")
 
 
 def _signed_products(moduli: tuple[int, ...], n: int) -> tuple[int, list[int], list[int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import floor, prod
 
 from .basis import (
@@ -419,19 +419,32 @@ def check_cycles_fractional_boundaries(rng, p):
 # --- pair censuses -----------------------------------------------------------
 
 
-def check_pairs_census_exact(rng, p):
-    rounds = max(8, p.samples // 8)
-    for _ in range(rounds):
-        basis = _random_basis(rng, p)
+def _pair_cases(rng, p, rounds: int, top: int):
+    """Bases and specs for a pair check, each basis cut to the pair cap.
+
+    First the edges, on every composite basis: twins, whose centres
+    include P in every basis, and (1, 59), whose sum 60 merges the two
+    forbidden classes of one modulus of each (4, 6, 10, 15 or 20).  Then
+    ``rounds`` random draws, with offsets up to ``top``.
+    """
+    edges = [(make_basis(c), PairSpec(1, b)) for c in _COMPOSITE_POOL for b in (1, 59)]
+    drawn = ((_random_basis(rng, p), PairSpec(rng.randint(0, top), rng.randint(0, top)))
+             for _ in range(rounds))
+    for basis, spec in chain(edges, drawn):
         while basis.period > p.pair_cap:
             basis = basis.without(basis.largest())
-        spec = PairSpec(rng.randint(0, 50), rng.randint(0, 50))
+        yield basis, spec
+
+
+def check_pairs_census_exact(rng, p):
+    rounds = max(8, p.samples // 8)
+    for basis, spec in _pair_cases(rng, p, rounds, 50):
         census = pair_count(basis, spec)
         centers = enumerate_pair_centers(basis, spec)
         _require(len(centers) == census.predicted_count,
                  f"{len(centers)} centers vs predicted {census.predicted_count} "
                  f"for spec={spec}, basis={basis.moduli}")
-    return f"{rounds} random censuses, enumeration matches prediction"
+    return f"{rounds} random censuses and the edges, enumeration matches prediction"
 
 
 def check_pairs_twin_product(rng, p):
@@ -458,25 +471,24 @@ def check_pairs_merged_offsets(rng, p):
 def check_pairs_center_shift(rng, p):
     basis = make_prime_basis(4)
     period = basis.period
+    # every x of one shifted period for twins and (1, 59), then random ones
+    cases = [(1, b, range(3 * period + 1, 4 * period + 1)) for b in (1, 59)]
     for _ in range(p.samples):
         a, b = rng.randint(0, 20), rng.randint(0, 20)
+        cases.append((a, b, [rng.randint(a + 1, 5 * period)]))
+    for a, b, xs in cases:
         centers = set(enumerate_pair_centers(basis, PairSpec(a, b)))
-        x = rng.randint(a + 1, 5 * period)
-        direct = is_survivor(basis, x - a) and is_survivor(basis, x + b)
-        folded = (x - 1) % period + 1
-        _require(direct == (folded in centers),
-                 f"shifted center mismatch at x={x}, spec=({a},{b})")
-    return f"{p.samples} off-wave integers vs folded centers"
+        for x in xs:
+            direct = is_survivor(basis, x - a) and is_survivor(basis, x + b)
+            _require(direct == ((x - 1) % period + 1 in centers),
+                     f"shifted center mismatch at x={x}, spec=({a},{b})")
+    return f"{p.samples} off-wave integers and two shifted periods vs folded centers"
 
 
 def check_pairs_center_mirror(rng, p):
-    for _ in range(max(8, p.samples // 8)):
-        basis = _random_basis(rng, p)
-        while basis.period > p.pair_cap:
-            basis = basis.without(basis.largest())
-        a, b = rng.randint(0, 30), rng.randint(0, 30)
-        period = basis.period
-        forward = set(enumerate_pair_centers(basis, PairSpec(a, b)))
+    for basis, spec in _pair_cases(rng, p, max(8, p.samples // 8), 30):
+        a, b, period = spec.left_offset, spec.right_offset, basis.period
+        forward = set(enumerate_pair_centers(basis, spec))
         backward = set(enumerate_pair_centers(basis, PairSpec(b, a)))
         mirrored = {period - x if x < period else period for x in forward}
         _require(mirrored == backward, f"mirror failed for spec=({a},{b})")

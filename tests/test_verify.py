@@ -57,11 +57,11 @@ def test_deterministic_for_seed():
 
 # Faults of each check family, each undone before the next.  Prints the
 # optimize level, then per fault its family and the checks that report it
-# at seed 0.  (pairs.center_shift misses the pairs fault there, at seeds 1
-# and 2 it reports it: its 40 samples seldom land where the fault changes a
-# centre.)
+# at seed 0.  Each pairs check also runs fixed edge inputs, so it reports
+# its own fault at every seed, not only where a random draw lands on it.
 _INJECTED_FAULTS = """
 import sys
+from math import prod
 from unittest.mock import patch
 from sievecycles import basis, counting, cycles, pairs, verify
 from sievecycles.ring import ResidueVector
@@ -69,6 +69,10 @@ from sievecycles.ring import ResidueVector
 def meissel_plus_one(b, x):
     honest = counting.count_meissel(b, x)
     return counting.CountResult(honest.value + 1, honest.method)
+
+def census_m_minus_2(b, spec):
+    factors = tuple(pairs.PairFactor(m, 2, m - 2) for m in b)
+    return pairs.PairCensus(b, spec, prod(f.factor for f in factors), factors)
 
 faults = [
     # every x from half the period on counts as a survivor
@@ -83,6 +87,12 @@ faults = [
     # b mod m instead of -b mod m
     ("pairs", pairs, "_forbidden",
      lambda m, spec: {spec.left_offset % m, spec.right_offset % m}),
+    # every modulus forbids two classes, even where a + b merges them
+    ("pairs", verify, "pair_count", census_m_minus_2),
+    # centres over [0, P) instead of (0, P]
+    ("pairs", verify, "enumerate_pair_centers",
+     lambda b, spec: tuple(sorted(x % b.period
+                                  for x in pairs.enumerate_pair_centers(b, spec)))),
     # entries added instead of multiplied
     ("ring", verify, "multiply",
      lambda u, v: ResidueVector(u.basis, tuple(
@@ -114,7 +124,10 @@ def test_checks_catch_injected_fault_under_optimize():
         "wheel wheel.periodicity",
         "count count.method_agreement count.peel_largest count.peel_any",
         "cycles cycles.uniform_counts cycles.degenerate_two cycles.fractional_boundaries",
-        "pairs pairs.twin_product pairs.merged_offsets pairs.center_mirror",
+        "pairs pairs.twin_product pairs.merged_offsets pairs.center_shift "
+        "pairs.center_mirror",
+        "pairs pairs.census_exact pairs.twin_product pairs.merged_offsets",
+        "pairs pairs.center_shift pairs.center_mirror",
         "ring ring.group_axioms ring.product_map",
         "ring ring.group_axioms",
     ]
