@@ -21,8 +21,9 @@ from typing import Iterator
 
 from .errors import CapacityError
 
-# A wheel or a pair-centre sieve marks one byte per candidate in one
-# period: keep periods below this unless the caller raises the cap.
+# A strike marks one byte per candidate in one period, and a roll makes
+# an int per survivor: keep periods below this unless the caller raises
+# the cap.
 DEFAULT_WHEEL_CAP = 10**8
 
 
@@ -120,7 +121,12 @@ class Wheel:
 
     ``residues`` lists, in increasing order, every r in [0, period) that no
     basis modulus divides.  The empty basis gives the trivial wheel with
-    period 1 and the single residue 0 (nothing is ever struck).
+    period 1 and the single residue 0 (nothing is ever struck).  Wave n's
+    wheel is m_n copies of wave n - 1's, less one residue per copy, so
+    ``extend_wheel`` rolls it from the wave before, and ``build_wheel``
+    does too wherever that costs less than striking the whole period.  An
+    extended wheel's first copy holds the smaller wheel's own int objects:
+    both are immutable, so they share them.
     """
 
     basis: CoprimeBasis
@@ -191,6 +197,49 @@ def survivor_flags(moduli, n: int) -> bytearray:
     return _strike(n, ((0, m) for m in moduli))
 
 
+def _rolls(basis: CoprimeBasis) -> bool:
+    """Whether rolling one period over ``basis`` costs less than striking it.
+
+    The strike makes an int for every candidate of the period.  The roll
+    makes one for each residue it keeps at every stage after the first,
+    counted as for the wheel, whose stages are no smaller than a pair
+    census's, and pays a set-up for each row: one per unit of every
+    modulus but the largest, whose residues come from ``range``.
+    """
+    moduli, period = basis.moduli, basis.period
+    if len(moduli) < 2:
+        return False  # nothing to roll by
+    rows = _ROLL_PER_ROW * (sum(moduli) - moduli[-1])
+    if rows >= period:
+        return False  # the rows' set-up alone outprices the strike
+    made, kept = 0, moduli[-1] - 1
+    for m in moduli[:-1]:
+        kept *= m - 1
+        made += kept
+    return _ROLL_PER_INT * made + rows < period
+
+
+# The prices of a roll, in candidates struck.  A strike makes an int for
+# every candidate, from a range, and drops most; a roll makes one only per
+# residue it keeps, by an add, which with its share of the masks costs
+# about two struck candidates, and each row's set-up about 40.  Forced
+# each way (2 cores, CPython 3.11.7), roll time over strike time, wheel
+# then twin centres:
+#   first 8 primes 0.46, 0.14; first 6 primes 0.50, 0.22;
+#   (2, 3, 5, 7, 11) 0.95, 0.68; (2, 9, 11, 17, 19) 0.77, 0.63;
+#   (3, 4, 13, 17, 19) 0.86, 0.33; (5, 7, 11, 13, 17) 0.94, 0.62;
+#   (7, 11, 13, 17, 19) 1.04, 0.89; (5, 7, 11, 13) 1.28, 0.95;
+#   (3, 5, 1009) 1.58, 0.91; (2, 3, 1009) 1.67, 1.55;
+#   (11, 13, 17, 19) 1.43, 1.20; (4, 9, 25, 49) 1.23, 0.81;
+#   (20, 2783) 1.81, 1.88; (257, 263) 1.33, 1.49; (7, 1009, 1013) 0.99, 1.04;
+#   (4, 9, 25) 1.96, 1.74; (3, 5, 7) 2.65, 2.01; (2, 3, 5, 7) 2.40, 1.92.
+# Over these and 15 more bases, these prices never roll where the roll is
+# slower; they strike where it would be up to 6 % faster for a wheel and
+# up to 2x for centres, whose census is not computed before choosing.
+_ROLL_PER_INT = 2
+_ROLL_PER_ROW = 40
+
+
 # Past this many digits an error message gives a period's length, not its
 # digits: the first 50000 primes make a period of 265,460 digits.
 _SHOWN_DIGITS = 40
@@ -220,18 +269,24 @@ def _check_wheel_cap(period: int, cap: int) -> None:
 
 
 def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
-    """Materialize one period by striking multiples of every modulus.
+    """Materialize one period: every residue that no basis modulus divides.
 
-    Refuses when the period exceeds ``cap`` candidates; the counting module
-    evaluates arbitrarily large bases without materializing anything.
+    Rolls the wheel of the largest modulus by each other modulus in turn,
+    or strikes the multiples of every modulus over the whole period, by
+    whichever ``_rolls`` prices cheaper.  Refuses when the period exceeds
+    ``cap`` candidates; the counting module evaluates arbitrarily large
+    bases without materializing anything.
     """
-    period = basis.period
+    period, moduli, count = basis.period, basis.moduli, basis.survivor_count
     _check_wheel_cap(period, cap)
-    residues = tuple(compress(range(period), survivor_flags(basis.moduli, period - 1)))
-    count = len(residues)
-    if count != basis.survivor_count:
+    if _rolls(basis):
+        rows = _rolled(moduli, [(0,)] * len(moduli))
+        residues = tuple(_Counted(chain.from_iterable(rows), count))
+    else:
+        residues = tuple(compress(range(period), survivor_flags(moduli, period - 1)))
+    if len(residues) != count:
         raise AssertionError(
-            f"wheel holds {count} residues, not the {basis.survivor_count} "
+            f"wheel holds {len(residues)} residues, not the {count} "
             "the product formula requires"
         )
     return Wheel(basis=basis, period=period, residues=residues, count=count)
@@ -255,41 +310,104 @@ def killer_index(wheel: Wheel, m: int, a: int) -> int:
 def extend_wheel(wheel: Wheel, m: int, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     """Wheel for the basis extended by ``m`` (coprime to the period).
 
-    Rolls m copies of the current wheel in order, K * period + a for K in
-    [0, m) and each residue a, and drops every entry that m divides: one per
-    residue row, the one at ``killer_index(wheel, m, a)``.  So row K drops
-    exactly the residues of class -K * period (mod m).  Each residue's class
-    is taken once, one byte each; every row is then one ``translate`` of
-    those bytes into a keep mask (0 only at the row's class) and one
-    ``compress``, so no Python code runs per entry.  A class fits in a byte
-    only for m <= 256; a larger m tests each entry in Python instead.  The
-    rows come out increasing, so nothing is sorted.
+    One ``_roll`` of the wheel by m: m copies of its residues in order,
+    K * period + a, less the one copy of each residue that m divides, the
+    one at ``killer_index(wheel, m, a)``.  Row 0 keeps the wheel's own int
+    objects.  The tuple is allocated once, at its known length, and filled
+    in one pass from the rows, which come out increasing, so nothing is
+    sorted.
     """
     basis = make_basis(wheel.basis.moduli + (m,))  # rejects m < 2
     if gcd(m, wheel.period) != 1:
         raise ValueError(f"{m} shares a factor with the period {wheel.period}")
     _check_wheel_cap(basis.period, cap)
-    period, old = wheel.period, wheel.residues
-    if m > 256:
-        residues = tuple(x for k in range(m) for a in old
-                         if (x := k * period + a) % m)
-    else:
-        residues = tuple(chain.from_iterable(_rows(old, period, m)))
+    rows = _roll(wheel.residues, wheel.period, m, (0,))
+    residues = tuple(_Counted(chain.from_iterable(rows), len(wheel.residues) * (m - 1)))
     return Wheel(basis=basis, period=basis.period, residues=residues,
                  count=len(residues))
 
 
-def _rows(residues: tuple[int, ...], period: int, m: int) -> Iterator[Iterator[int]]:
-    """Row K of the roll, for K in [0, m) (m <= 256): the residues a whose
-    class a mod m is not -K * period mod m, each plus K * period."""
+def _roll(residues, period: int, m: int, struck) -> Iterator[Iterator[int]]:
+    """m copies of one period, in order, as runs to be chained: every
+    K * period + a, for K in [0, m) and each of the ``residues`` a, that
+    lies in no class of ``struck`` mod m.  The first run is row 0, the kept
+    residues themselves.
+
+    Row K strikes the a with (a + K * period) mod m struck.  For m <= 256 a
+    residue's class fits in a byte: each is taken once, and a row's mask is
+    one ``translate`` of those bytes by the struck pattern turned
+    K * period places, so each row is one run.  For a larger m a row may
+    hold few residues, so nothing is done per row: each residue's one entry
+    per struck class is struck in flags over the whole roll, and rows 1 to
+    m - 1 are read as one run across one ``range`` per residue.  Either way
+    ``compress`` takes the kept entries.  Row 0 makes no new int; the other
+    rows make one per kept entry, or for m > 256 one per entry, of which
+    one in m per struck class is dropped.
+    """
+    if m > 256:
+        width = len(residues)
+        keep = bytearray(b"\1") * (m * width)
+        inverse = pow(period, -1, m)
+        for j, a in enumerate(residues):
+            for s in struck:
+                keep[(s - a) * inverse % m * width + j] = 0
+        yield compress(residues, keep[:width])
+        columns = (range(a + period, m * period, period) for a in residues)
+        yield compress(chain.from_iterable(zip(*columns)), keep[width:])
+        return
     classes = bytes(map(mod, residues, repeat(m)))
-    keep = bytearray(b"\1") * 256
+    keep = bytearray(b"\1") * m
+    for s in struck:
+        keep[s] = 0
+    pattern = bytes(keep) * (256 // m + 2)  # m + 256 flags or more
+    turn, step = 0, period % m
     for k in range(m):
-        struck = -k * period % m
-        keep[struck] = 0
-        mask = classes.translate(keep)
-        keep[struck] = 1
-        yield map(add, compress(residues, mask), repeat(k * period))
+        row = compress(residues, classes.translate(pattern[turn:turn + 256]))
+        yield map(add, row, repeat(k * period)) if k else row
+        turn = (turn + step) % m
+
+
+def _rolled(moduli: tuple[int, ...], struck) -> Iterator[Iterator[int]]:
+    """The rows, in order, of every x in [0, prod(moduli)) that lies in no
+    class of struck[i] mod moduli[i], for ascending, pairwise-coprime
+    ``moduli``; each struck[i] holds distinct classes in [0, moduli[i]).
+
+    Takes the largest modulus's residues from ``range``, then rolls them by
+    each other modulus, ascending: a big modulus rolled late would make many
+    short rows, each paying its set-up.  Nothing runs before the first row
+    is asked for, so a ``_Counted`` result is allocated first.
+    """
+    if not moduli:
+        yield iter((0,))
+        return
+    top = moduli[-1]
+    keep = bytearray(b"\1") * top
+    for s in struck[-1]:
+        keep[s] = 0
+    rows = [compress(range(top), keep)]
+    period = top
+    for m, s in zip(moduli[:-1], struck[:-1]):
+        rows = _roll(tuple(chain.from_iterable(rows)), period, m, s)
+        period *= m
+    yield from rows
+
+
+class _Counted:
+    """``items`` whose number is known.  ``tuple`` reads the count before
+    the first item and allocates the whole result at once: it is never
+    regrown, and a size no allocator grants is refused before any work, as
+    the strike's flag array is."""
+
+    __slots__ = ("items", "count")
+
+    def __init__(self, items: Iterator[int], count: int) -> None:
+        self.items, self.count = items, count
+
+    def __iter__(self) -> Iterator[int]:
+        return self.items
+
+    def __length_hint__(self) -> int:
+        return self.count
 
 
 def iter_survivors(wheel: Wheel, lo: int, hi: int) -> Iterator[int]:

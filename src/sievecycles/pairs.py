@@ -11,9 +11,18 @@ survivors are the (1, 1) case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
+from math import prod
 
-from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, _check_wheel_cap, _strike
+from .basis import (
+    DEFAULT_WHEEL_CAP,
+    CoprimeBasis,
+    _check_wheel_cap,
+    _Counted,
+    _rolled,
+    _rolls,
+    _strike,
+)
 
 
 @dataclass(frozen=True)
@@ -75,15 +84,24 @@ def enumerate_pair_centers(
     *,
     cap: int = DEFAULT_WHEEL_CAP,
 ) -> tuple[int, ...]:
-    """All centers x in (0, period], in increasing order, by one sieve.
+    """All centers x in (0, period], in increasing order.
 
-    Over flags for 0..period, every modulus m strikes the two classes a
-    center must avoid, a and -b (mod m), the ones ``pair_count`` counts.
-    Neighbors wrap modulo the period, so a center near either end pairs
-    with a survivor from the adjacent copy of the pattern.  The result
+    Every modulus m forbids the two classes a center must avoid, a and -b
+    (mod m), the ones ``pair_count`` counts; the centers are what is left,
+    rolled from the largest modulus's or struck over one period, as
+    ``build_wheel`` does.  Neighbors wrap modulo the period, so a center
+    near either end pairs with a survivor from the adjacent copy of the
+    pattern, and the center 0 is reported as the period.  The result
     length always equals the census prediction.
     """
     period = basis.period
     _check_wheel_cap(period, cap)
+    if _rolls(basis):
+        struck = [_forbidden(m, spec) for m in basis]
+        centers = chain.from_iterable(_rolled(basis.moduli, struck))
+        if all(0 not in s for s in struck):  # 0 leads: report it as the period
+            centers = chain(islice(centers, 1, None), (period,))
+        census = prod(m - len(s) for m, s in zip(basis, struck))
+        return tuple(_Counted(centers, census))
     alive = _strike(period, ((r, m) for m in basis for r in _forbidden(m, spec)))
     return tuple(compress(range(1, period + 1), alive[1:]))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import floor, prod
+from operator import and_
 
 from .basis import (
     CoprimeBasis,
@@ -66,6 +67,10 @@ _PARAMS = {
                         subdivided_primes=150),
 }
 DEPTHS = tuple(_PARAMS)
+
+# Its wheel and its pair centres are rolled, where most bases drawn here
+# are struck: the checks that compare with a strike or a direct test use it.
+_ROLLED = (2, 3, 5, 7, 29)
 
 # Pairwise-coprime composite bases exercising the non-prime generality.
 _COMPOSITE_POOL = (
@@ -152,19 +157,24 @@ def check_wheel_symmetry(rng, p):
     return f"{exhaustive} bases exhaustively, {p.samples} samples"
 
 
+def _struck_residues(basis: CoprimeBasis) -> tuple[int, ...]:
+    """One period's survivors by striking every candidate: the route that a
+    rolled wheel is checked against."""
+    period = basis.period
+    return tuple(compress(range(period), survivor_flags(basis.moduli, period - 1)))
+
+
 def check_wheel_count_product(rng, p):
-    checked = 0
-    for _ in range(p.samples // 4):
-        basis = _random_basis(rng, p)
-        if basis.period > p.exhaustive_cap:
-            continue
+    drawn = (_random_basis(rng, p) for _ in range(p.samples // 4))
+    bases = [make_basis(_ROLLED)] + [b for b in drawn if b.period <= p.exhaustive_cap]
+    for basis in bases:
         wheel = build_wheel(basis)
         expected = prod(m - 1 for m in basis)
         _require(wheel.count == len(wheel.residues) == expected,
                  f"count mismatch for basis={basis.moduli}")
-        checked += 1
-    _require(checked > 0, "no basis drawn had a period within the exhaustive cap")
-    return f"{checked} wheels"
+        _require(wheel.residues == _struck_residues(basis),
+                 f"residues differ from the strike for basis={basis.moduli}")
+    return f"{len(bases)} wheels, counts and residues as struck"
 
 
 def check_wheel_one_kill_per_row(rng, p):
@@ -194,7 +204,9 @@ def check_wheel_order_independence(rng, p):
             wheel = extend_wheel(wheel, m)
         _require(wheel.residues == direct.residues,
                  f"order {order} gave different residues")
-    return f"{rounds} shuffled rebuilds"
+        _require(direct.residues == _struck_residues(basis),
+                 f"residues differ from the strike for basis={basis.moduli}")
+    return f"{rounds} shuffled rebuilds, each as struck"
 
 
 def check_wheel_composite_moduli(rng, p):
@@ -469,20 +481,30 @@ def check_pairs_merged_offsets(rng, p):
 
 
 def check_pairs_center_shift(rng, p):
-    basis = make_prime_basis(4)
+    # every x in (3P, 4P] for twins and (1, 59), where x - 1 and x + b are
+    # read from survivor flags, against the rolled centres folded into
+    # (0, P]; then random offsets and x over the first four primes
+    rolled, basis = make_basis(_ROLLED), make_prime_basis(4)
+    period = rolled.period
+    for b in (1, 59):
+        alive = survivor_flags(rolled.moduli, 4 * period + b)
+        both = map(and_, alive[3 * period:4 * period],
+                   alive[3 * period + 1 + b:4 * period + 1 + b])
+        direct = set(compress(range(1, period + 1), both))
+        centers = set(enumerate_pair_centers(rolled, PairSpec(1, b)))
+        _require(direct == centers,
+                 f"shifted centers differ at {sorted(direct ^ centers)[:3]} "
+                 f"(folded), spec=(1,{b}), basis={rolled.moduli}")
     period = basis.period
-    # every x of one shifted period for twins and (1, 59), then random ones
-    cases = [(1, b, range(3 * period + 1, 4 * period + 1)) for b in (1, 59)]
     for _ in range(p.samples):
         a, b = rng.randint(0, 20), rng.randint(0, 20)
-        cases.append((a, b, [rng.randint(a + 1, 5 * period)]))
-    for a, b, xs in cases:
+        x = rng.randint(a + 1, 5 * period)
         centers = set(enumerate_pair_centers(basis, PairSpec(a, b)))
-        for x in xs:
-            direct = is_survivor(basis, x - a) and is_survivor(basis, x + b)
-            _require(direct == ((x - 1) % period + 1 in centers),
-                     f"shifted center mismatch at x={x}, spec=({a},{b})")
-    return f"{p.samples} off-wave integers and two shifted periods vs folded centers"
+        direct = is_survivor(basis, x - a) and is_survivor(basis, x + b)
+        _require(direct == ((x - 1) % period + 1 in centers),
+                 f"shifted center mismatch at x={x}, spec=({a},{b})")
+    return (f"{p.samples} off-wave integers and two shifted periods of "
+            f"{rolled.moduli} vs folded centers")
 
 
 def check_pairs_center_mirror(rng, p):

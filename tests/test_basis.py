@@ -195,7 +195,8 @@ class TestExtendWheel:
     @pytest.mark.parametrize("moduli, m", [
         ((), 2), ((2,), 3), ((3,), 2), ((2, 3, 5), 7), ((2, 3, 5, 7), 11),
         ((3, 5, 7), 4), ((4, 9), 25), ((20,), 2783), ((8, 15), 7),
-        # a class fits in a byte up to m = 256; a larger m tests each entry
+        # a class fits in a byte up to m = 256; a larger m strikes each row at
+        # the indices of its class
         ((7, 13), 253), ((7, 11), 255), ((3, 5, 7), 256), ((9, 25), 256),
         ((3, 5), 257), ((4, 9), 259), ((3, 7), 263), ((3, 5), 1009),
         ((), 7), ((), 256), ((), 257),

@@ -528,10 +528,24 @@ def run_cli_process(*argv):
                           timeout=120)
 
 
-def test_out_of_memory_is_a_capacity_error():
-    # the cap admits 14 primes, whose 1.3e16-byte flag array no allocator
-    # grants: refused at once, so nothing is committed
-    done = run_cli_process("wheel", "--n", "14", "--wheel-cap", "100000000000000000")
+@pytest.mark.parametrize("command", ["wheel", "twins"])
+def test_out_of_memory_is_a_capacity_error(command):
+    # the cap admits 14 primes, whose period of 1.3e16 candidates no
+    # allocator holds, as flags or as the survivors' pointers: refused at
+    # once, before a row is rolled
+    resource = pytest.importorskip("resource")
+    argv = [command, "--n", "14", "--wheel-cap", "100000000000000000"]
+    if command == "twins":
+        argv.append("--enumerate")
+    # 2 GiB of address space: a build that ran out of memory partway fails
+    # the test instead of taking the host's memory.  Rolled to that point,
+    # each command took 8 s; refused at once, well under one.
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "sievecycles.cli", *argv],
+                          env=cli_process_env(), capture_output=True, text=True,
+                          timeout=60, preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert time.monotonic() - start < 5
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("capacity error: out of memory; a lower cap")

@@ -74,6 +74,17 @@ def census_m_minus_2(b, spec):
     factors = tuple(pairs.PairFactor(m, 2, m - 2) for m in b)
     return pairs.PairCensus(b, spec, prod(f.factor for f in factors), factors)
 
+honest_roll = basis._roll
+
+def roll_strikes_next_class(residues, period, m, struck):
+    # row K strikes what row K + 1 should: every count stays right
+    return honest_roll(residues, period, m, {(s - period) % m for s in struck})
+
+def roll_row_0_shifted(residues, period, m, struck):
+    rows = honest_roll(residues, period, m, struck)
+    yield [a + period for a in next(rows)]
+    yield from rows
+
 faults = [
     # every x from half the period on counts as a survivor
     ("wheel", verify, "is_survivor",
@@ -93,6 +104,11 @@ faults = [
     ("pairs", verify, "enumerate_pair_centers",
      lambda b, spec: tuple(sorted(x % b.period
                                   for x in pairs.enumerate_pair_centers(b, spec)))),
+    # the roll behind wheels and centres, wrong residues at right counts
+    ("wheel", basis, "_roll", roll_strikes_next_class),
+    ("wheel", basis, "_roll", roll_row_0_shifted),
+    ("pairs", basis, "_roll", roll_strikes_next_class),
+    ("pairs", basis, "_roll", roll_row_0_shifted),
     # entries added instead of multiplied
     ("ring", verify, "multiply",
      lambda u, v: ResidueVector(u.basis, tuple(
@@ -128,6 +144,10 @@ def test_checks_catch_injected_fault_under_optimize():
         "pairs.center_mirror",
         "pairs pairs.census_exact pairs.twin_product pairs.merged_offsets",
         "pairs pairs.center_shift pairs.center_mirror",
+        "wheel wheel.count_product wheel.order_independence",
+        "wheel wheel.count_product wheel.order_independence",
+        "pairs pairs.center_shift",
+        "pairs pairs.center_shift",
         "ring ring.group_axioms ring.product_map",
         "ring ring.group_axioms",
     ]
