@@ -18,8 +18,11 @@ same exact integer:
                               divisor products d (inclusion-exclusion):
                               a flat table of the smallest moduli's
                               products, summed at C speed, under a pruned
-                              walk over the largest; exponential, kept
-                              apart from the kernel as a cross-check.
+                              walk over the largest, each node reduced by
+                              the table's period Q and counted as whole
+                              cycles of the table's own sum at Q plus one
+                              remainder of at most one digit; exponential,
+                              kept apart from the kernel as a cross-check.
 * ``count_meissel``        -- peel off the largest modulus m via
                               f(x) = f'(x) - f'(x / m), evaluated by the
                               phi(n, a) kernel: a survivor table for the
@@ -46,11 +49,12 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import ceil, floor, isqrt, lcm, prod
+from operator import floordiv, mul
 
 from .basis import CoprimeBasis, _require_ascending, survivor_flags
 from .errors import CapacityError
@@ -161,23 +165,38 @@ def _signed_products(moduli: tuple[int, ...], n: int) -> tuple[int, list[int], l
     return len(moduli), pos, neg
 
 
-def _legendre_walk(n: int, rest: tuple[int, ...], start: int,
-                   pos: list[int], neg: list[int]) -> int:
+def _legendre_walk(n: int, rest: tuple[int, ...], start: int, period: int,
+                   phi: int, pos: list[int], neg: list[int]) -> int:
     """The signed sum of n // d over the table products d <= n, less the
     same sum at n // m for each ``rest[start:]`` modulus m <= n in turn.
+
+    ``period`` is the product of the table's moduli and ``phi`` the table's
+    sum at it, one period's survivors.  Those survivors repeat with that
+    period (Lehmer), so the table's sum at n is (n // period) * phi plus
+    its sum at r = n mod period, where every quotient is r // d with r and
+    d below the period.  The children still start from n, not from r.
 
     A plain function rather than a closure over the table: such a closure
     is a reference cycle, and the table would wait for the cyclic garbage
     collector instead of being freed when its call returns.
     """
-    total = (sum(map(n.__floordiv__, pos[:bisect_right(pos, n)]))
-             - sum(map(n.__floordiv__, neg[:bisect_right(neg, n)])))
+    q, r = divmod(n, period)
+    each = repeat(r)
+    total = (q * phi + sum(map(floordiv, each, pos[:bisect_right(pos, r)]))
+             - sum(map(floordiv, each, neg[:bisect_right(neg, r)])))
     for i in range(start, len(rest)):
         m = rest[i]
         if m > n:
             break  # rest ascends, so every later product exceeds n too
-        total -= _legendre_walk(n // m, rest, i + 1, pos, neg)
+        total -= _legendre_walk(n // m, rest, i + 1, period, phi, pos, neg)
     return total
+
+
+# One digit of a CPython int.  In CPython 3.11 on x86-64, one quotient of
+# a 2048-term ``sum(map(floordiv, repeat(r), ...))`` costs 39 ns where r
+# and d each fit in one digit, 61 ns for a two-digit r over a one-digit d,
+# and 109 ns where both take two digits.
+_ONE_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def _legendre(moduli: tuple[int, ...], n: int) -> int:
@@ -186,7 +205,8 @@ def _legendre(moduli: tuple[int, ...], n: int) -> int:
 
     The products of the smallest moduli form one flat table, summed at C
     speed; a walk over the larger moduli, pruned once products exceed n,
-    visits each of their products D and sums the table at n // D.
+    visits each of their products D and sums the table at n // D, reduced
+    by the table's own period (see ``_legendre_walk``).
     """
     _require_ascending(moduli)
     if n < 1:
@@ -197,9 +217,23 @@ def _legendre(moduli: tuple[int, ...], n: int) -> int:
     # split trades 2^t table entries built against 2^(k - t) walk calls.
     # In CPython 3.11 on x86-64 an entry costs 105-120 ns to build and a
     # call 2.2-2.6 us, about 20 entries, so the table takes the smallest
-    # k/2 + 2 moduli: 16 entries per call.
-    t, pos, neg = _signed_products(moduli[:min(k, k // 2 + 2)], n)
-    return _legendre_walk(n, moduli[t:k], 0, pos, neg)
+    # k/2 + 2 moduli: 16 entries per call.  From one digit on, it stops
+    # before their period reaches one digit, so that every remainder and
+    # every entry is one digit (see _ONE_DIGIT).
+    t = min(k, k // 2 + 2)
+    if n >= _ONE_DIGIT:
+        t = bisect_left(list(accumulate(moduli[:t], mul)), _ONE_DIGIT)
+    t, pos, neg = _signed_products(moduli[:t], n)
+    period = prod(moduli[:t])
+    # phi is the table's own sum at its period, never prod(m - 1), so the
+    # route shares nothing with the kernel or the product formula.  No node
+    # exceeds n, so a period above n reduces none, and there the table,
+    # cut at n, need not hold every product of the period.
+    phi = 0
+    if period <= n:
+        each = repeat(period)
+        phi = sum(map(floordiv, each, pos)) - sum(map(floordiv, each, neg))
+    return _legendre_walk(n, moduli[t:k], 0, period, phi, pos, neg)
 
 
 def count_legendre(basis: CoprimeBasis, x) -> CountResult:
@@ -208,9 +242,15 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
     Deliberately kept apart from the phi kernel so that the two can check
     each other.  Pruning keeps the effective term count far below 2^k for
     small x, and the terms are summed from a flat table of products at C
-    speed, but near the period every one of the 2^k terms is still
-    summed: 20 primes near P/3 take about 0.2 s, 22 primes about 0.8 s,
-    and each further prime doubles that.
+    speed.  Each node of the walk over the larger moduli is reduced by the
+    table's period Q (Lehmer): whole cycles count the table's own sum at Q
+    each, and only the remainder, below one digit, is summed term by term.
+    That sum is computed from the table, never from prod(m - 1) nor by the
+    kernel, so the route still shares nothing with the routes it checks.
+    Near the period every one of the 2^k terms is still summed: in CPython
+    3.11 on a 2-core x86-64 host, 20 primes at P // 3 take 52-62 ms, 22
+    primes at a random x below P 0.18-0.22 s, and each further prime
+    doubles that.
     """
     return CountResult(_legendre(basis.moduli, _floor_boundary(x)), METHOD_LEGENDRE)
 

@@ -703,6 +703,91 @@ def test_legendre_table_stops_at_the_ceiling_and_walks_the_rest():
     assert _legendre(moduli, 10**6) == 1 + 78498 - 1000
 
 
+# From one digit of a CPython int on, Legendre's table stops before its
+# period Q reaches one digit, and each walk node is reduced modulo Q.  The
+# prefix products of the first two bases are 2^30 - 1 and 2^30 + 1, and
+# the third starts with 2^30: the edges of that rule on 30-bit digits.
+ONE_DIGIT = 1 << sys.int_info.bits_per_digit
+CYCLE_BASES = LEGENDRE_BASES + [
+    (7, 9, 11, 31, 151, 331, 337, 347),
+    (13, 25, 41, 61, 1321, 1327),
+    (1 << 30, (1 << 30) + 3),
+]
+
+
+def legendre_table(moduli, n):
+    """(t, Q, phi): the moduli in the table ``_legendre`` builds at n, their
+    product and the table's sum at it, as handed to the walk."""
+    calls = []
+    with patch.object(counting, "_legendre_walk", lambda *args: calls.append(args) or 0):
+        _legendre(moduli, n)
+    [(_, rest, _, period, phi, _, _)] = calls
+    return bisect_right(moduli, n) - len(rest), period, phi
+
+
+@st.composite
+def cycle_edge_case(draw):
+    """(moduli, n): n at j * Q + e or D * j * Q + e for e in {-1, 0, 1}, Q
+    a product of the smallest moduli and D one of the others, or at one
+    digit + e."""
+    moduli = draw(st.sampled_from(CYCLE_BASES))
+    t = draw(st.integers(0, len(moduli)))
+    walked = draw(st.sets(st.sampled_from(moduli[t:]))) if t < len(moduli) else ()
+    j = draw(st.integers(1, 3))
+    e = draw(st.integers(-1, 1))
+    n = draw(st.sampled_from([j * prod(moduli[:t]), prod(walked) * j * prod(moduli[:t]),
+                              ONE_DIGIT]))
+    return moduli, max(0, n + e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_edge_case())
+@example((CYCLE_BASES[-3], ONE_DIGIT - 1))
+@example((CYCLE_BASES[-3], 2 * ONE_DIGIT - 1))
+@example((CYCLE_BASES[-2], ONE_DIGIT + 1))
+@example((CYCLE_BASES[-2], 3 * 1327 * (ONE_DIGIT + 1) - 1))
+@example((CYCLE_BASES[-1], ONE_DIGIT + 1))
+def test_legendre_at_the_edges_of_its_cycle(case):
+    moduli, n = case
+    got = _legendre(moduli, n)
+    assert got == oracle_legendre(moduli, n)
+    if n <= ORACLE_REACH:
+        assert got == oracle_count(moduli, n)
+    if len(moduli) <= 12:
+        assert got == unpruned_legendre(moduli, n)
+
+
+@pytest.mark.parametrize("moduli", [PRIMES[:16], CYCLE_BASES[-3], CYCLE_BASES[-2],
+                                    LEGENDRE_BASES[-1]])
+@pytest.mark.parametrize("n", [1, 30, 10**6, 30030 * 7, ONE_DIGIT - 1])
+def test_legendre_table_below_one_digit(moduli, n):
+    # below one digit the table takes the smallest k/2 + 2 moduli, cut at
+    # n and at the ceiling, as it always has
+    k = bisect_right(moduli, n)
+    t, period, phi = legendre_table(moduli, n)
+    assert t == _signed_products(moduli[:min(k, k // 2 + 2)], n)[0]
+    assert period == prod(moduli[:t])
+    if period <= n:
+        assert phi == prod(m - 1 for m in moduli[:t])
+
+
+@pytest.mark.skipif(ONE_DIGIT != 1 << 30, reason="the expected tables assume 30-bit digits")
+@pytest.mark.parametrize("moduli, n, expected", [
+    (PRIMES[:16], ONE_DIGIT, 9),
+    (PRIMES[:16], 10**40, 9),
+    (PRIMES[:12], 10**12, 8),  # k/2 + 2 stops it first
+    (CYCLE_BASES[-3], ONE_DIGIT, 6),  # 2^30 - 1
+    (CYCLE_BASES[-2], ONE_DIGIT + 1, 4),  # the fifth brings 2^30 + 1
+    (CYCLE_BASES[-1], 3 * ONE_DIGIT + 7, 0),
+    (LEGENDRE_BASES[-1], 10**20, 8),
+])
+def test_legendre_table_from_one_digit_on(moduli, n, expected):
+    t, period, phi = legendre_table(moduli, n)
+    assert t == expected
+    assert period == prod(moduli[:t]) < ONE_DIGIT
+    assert phi == prod(m - 1 for m in moduli[:t])
+
+
 class TestAscendingModuli:
     """Both exact counters prune on ascending moduli and reject any other
     order rather than miscount."""

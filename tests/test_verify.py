@@ -85,6 +85,25 @@ def roll_row_0_shifted(residues, period, m, struck):
     yield [a + period for a in next(rows)]
     yield from rows
 
+honest_walk, honest_legendre = counting._legendre_walk, counting._legendre
+
+def walk_children_from_remainder(n, rest, start, period, phi, pos, neg):
+    q, r = divmod(n, period)
+    total = q * phi + honest_walk(r, (), 0, period, phi, pos, neg)
+    for i in range(start, len(rest)):
+        if rest[i] > n:
+            break
+        total -= walk_children_from_remainder(r // rest[i], rest, i + 1,
+                                              period, phi, pos, neg)
+    return total
+
+def legendre_whole_survivor_count(moduli, n):
+    whole = prod(m - 1 for m in moduli)
+    def walk(n, rest, start, period, phi, pos, neg):
+        return honest_walk(n, rest, start, period, whole, pos, neg)
+    with patch.object(counting, "_legendre_walk", walk):
+        return honest_legendre(moduli, n)
+
 faults = [
     # every x from half the period on counts as a survivor
     ("wheel", verify, "is_survivor",
@@ -92,6 +111,10 @@ faults = [
     # 0 counts as a survivor
     ("wheel", verify, "is_survivor", lambda b, x: x == 0 or basis.is_survivor(b, x)),
     ("count", verify, "count_meissel", meissel_plus_one),
+    # Legendre's walk: the children start from n mod Q instead of n
+    ("count", counting, "_legendre_walk", walk_children_from_remainder),
+    # n // Q times the whole basis's survivor count, not the table's phi(Q)
+    ("count", counting, "_legendre", legendre_whole_survivor_count),
     # every boundary count one too high
     ("cycles", cycles, "_floor_counts",
      lambda moduli, ns: [c + 1 for c in counting._floor_counts(moduli, ns)]),
@@ -139,6 +162,9 @@ def test_checks_catch_injected_fault_under_optimize():
         "wheel wheel.periodicity wheel.symmetry wheel.composite_moduli",
         "wheel wheel.periodicity",
         "count count.method_agreement count.peel_largest count.peel_any",
+        "count count.method_agreement count.period_shift count.reflection",
+        "count count.method_agreement count.period_shift count.reflection "
+        "count.pruning",
         "cycles cycles.uniform_counts cycles.degenerate_two cycles.fractional_boundaries",
         "pairs pairs.twin_product pairs.merged_offsets pairs.center_shift "
         "pairs.center_mirror",
