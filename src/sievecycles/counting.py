@@ -21,7 +21,7 @@ same exact integer:
                               walk over the largest, each node reduced by
                               the table's period Q and counted as whole
                               cycles of the table's own sum at Q plus one
-                              remainder of at most one digit; exponential,
+                              remainder summed term by term; exponential,
                               kept apart from the kernel as a cross-check.
 * ``count_meissel``        -- peel off the largest modulus m via
                               f(x) = f'(x) - f'(x / m), evaluated by the
@@ -217,11 +217,18 @@ def _legendre(moduli: tuple[int, ...], n: int) -> int:
     # split trades 2^t table entries built against 2^(k - t) walk calls.
     # In CPython 3.11 on x86-64 an entry costs 105-120 ns to build and a
     # call 2.2-2.6 us, about 20 entries, so the table takes the smallest
-    # k/2 + 2 moduli: 16 entries per call.  From one digit on, it stops
-    # before their period reaches one digit, so that every remainder and
-    # every entry is one digit (see _ONE_DIGIT).
+    # k/2 + 2 moduli: 16 entries per call.  From one digit on, where that
+    # table would hold every product of its moduli, it stops before their
+    # period reaches one digit, so that every remainder and every entry is
+    # one digit (see _ONE_DIGIT).  Where the table is cut at n instead, the
+    # walk is pruned and a smaller table only adds calls: capping there too
+    # took 100 primes at 10^10 from 6.0-7.1 to 8.6-9.8 s and 40 primes at
+    # 10^10 from 0.22-0.31 to 0.40-0.42 s.  Without the cap, the reduction
+    # alone takes 22 primes at a random x below P from 0.47-0.73 to
+    # 0.30-0.43 s and 20 primes at P // 3 from 0.12-0.14 s to 74-91 ms;
+    # with it, 0.17-0.24 s and 41-49 ms.
     t = min(k, k // 2 + 2)
-    if n >= _ONE_DIGIT:
+    if n >= _ONE_DIGIT and prod(moduli[:t]) <= n:
         t = bisect_left(list(accumulate(moduli[:t], mul)), _ONE_DIGIT)
     t, pos, neg = _signed_products(moduli[:t], n)
     period = prod(moduli[:t])
@@ -244,9 +251,12 @@ def count_legendre(basis: CoprimeBasis, x) -> CountResult:
     small x, and the terms are summed from a flat table of products at C
     speed.  Each node of the walk over the larger moduli is reduced by the
     table's period Q (Lehmer): whole cycles count the table's own sum at Q
-    each, and only the remainder, below one digit, is summed term by term.
-    That sum is computed from the table, never from prod(m - 1) nor by the
-    kernel, so the route still shares nothing with the routes it checks.
+    each, and only the remainder is summed term by term.  From one digit of
+    a CPython int on, a table that would hold every product of its moduli
+    stops before Q reaches one digit, so each such quotient is one digit by
+    one; a table cut at x keeps its size.  The sum at Q is computed from
+    the table, never from prod(m - 1) nor by the kernel, so the route
+    still shares nothing with the routes it checks.
     Near the period every one of the 2^k terms is still summed: in CPython
     3.11 on a 2-core x86-64 host, 20 primes at P // 3 take 52-62 ms, 22
     primes at a random x below P 0.18-0.22 s, and each further prime

@@ -703,11 +703,14 @@ def test_legendre_table_stops_at_the_ceiling_and_walks_the_rest():
     assert _legendre(moduli, 10**6) == 1 + 78498 - 1000
 
 
-# From one digit of a CPython int on, Legendre's table stops before its
-# period Q reaches one digit, and each walk node is reduced modulo Q.  The
-# prefix products of the first two bases are 2^30 - 1 and 2^30 + 1, and
-# the third starts with 2^30: the edges of that rule on 30-bit digits.
+# Each walk node of Legendre's sum is reduced modulo its table's period Q.
+# From one digit of a CPython int on, where the table would hold every
+# product of its moduli, it stops before Q reaches one digit.  The prefix
+# products of the first two bases are 2^30 - 1 and 2^30 + 1, and the third
+# starts with 2^30: the edges of that rule on 30-bit digits.  For the first
+# 16 primes the rule switches at the product of the first ten.
 ONE_DIGIT = 1 << sys.int_info.bits_per_digit
+TEN_PRIMES = prod(PRIMES[:10])
 CYCLE_BASES = LEGENDRE_BASES + [
     (7, 9, 11, 31, 151, 331, 337, 347),
     (13, 25, 41, 61, 1321, 1327),
@@ -747,6 +750,9 @@ def cycle_edge_case(draw):
 @example((CYCLE_BASES[-2], ONE_DIGIT + 1))
 @example((CYCLE_BASES[-2], 3 * 1327 * (ONE_DIGIT + 1) - 1))
 @example((CYCLE_BASES[-1], ONE_DIGIT + 1))
+@example((PRIMES[:16], TEN_PRIMES - 1))
+@example((PRIMES[:16], TEN_PRIMES))
+@example((PRIMES[:16], TEN_PRIMES + 1))
 def test_legendre_at_the_edges_of_its_cycle(case):
     moduli, n = case
     got = _legendre(moduli, n)
@@ -771,14 +777,30 @@ def test_legendre_table_below_one_digit(moduli, n):
         assert phi == prod(m - 1 for m in moduli[:t])
 
 
+@pytest.mark.parametrize("moduli, n", [
+    (PRIMES[:16], ONE_DIGIT),
+    (PRIMES[:16], TEN_PRIMES - 1),
+    (CYCLE_BASES[-2], ONE_DIGIT),  # 2^30 + 1 > n
+    (CYCLE_BASES[-1], 3 * ONE_DIGIT + 7),
+    (LEGENDRE_BASES[-1], 10**11),
+])
+def test_legendre_table_cut_at_n_keeps_its_rule(moduli, n):
+    # from one digit on too, a table cut at n keeps the k/2 + 2 rule: a
+    # smaller one would only add walk calls
+    k = bisect_right(moduli, n)
+    t, period, phi = legendre_table(moduli, n)
+    assert t == _signed_products(moduli[:min(k, k // 2 + 2)], n)[0]
+    assert period == prod(moduli[:t]) > n
+    assert phi == 0
+
+
 @pytest.mark.skipif(ONE_DIGIT != 1 << 30, reason="the expected tables assume 30-bit digits")
 @pytest.mark.parametrize("moduli, n, expected", [
-    (PRIMES[:16], ONE_DIGIT, 9),
+    (PRIMES[:16], TEN_PRIMES, 9),  # ten would hold every product
     (PRIMES[:16], 10**40, 9),
     (PRIMES[:12], 10**12, 8),  # k/2 + 2 stops it first
     (CYCLE_BASES[-3], ONE_DIGIT, 6),  # 2^30 - 1
     (CYCLE_BASES[-2], ONE_DIGIT + 1, 4),  # the fifth brings 2^30 + 1
-    (CYCLE_BASES[-1], 3 * ONE_DIGIT + 7, 0),
     (LEGENDRE_BASES[-1], 10**20, 8),
 ])
 def test_legendre_table_from_one_digit_on(moduli, n, expected):
