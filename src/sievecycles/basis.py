@@ -21,9 +21,9 @@ from typing import Iterator
 
 from .errors import CapacityError
 
-# A strike marks one byte per candidate in one period, and a roll makes
-# an int per survivor: keep periods below this unless the caller raises
-# the cap.
+# A wheel makes an int per survivor of its period, and a wheel read back is
+# checked with a byte per candidate: keep periods below this unless the
+# caller raises the cap.
 DEFAULT_WHEEL_CAP = 10**8
 
 
@@ -123,10 +123,9 @@ class Wheel:
     basis modulus divides.  The empty basis gives the trivial wheel with
     period 1 and the single residue 0 (nothing is ever struck).  Wave n's
     wheel is m_n copies of wave n - 1's, less one residue per copy, so
-    ``extend_wheel`` rolls it from the wave before, and ``build_wheel``
-    does too wherever that costs less than striking the whole period.  An
-    extended wheel's first copy holds the smaller wheel's own int objects:
-    both are immutable, so they share them.
+    ``extend_wheel`` and ``build_wheel`` both roll it from the wave before.
+    An extended wheel's first copy holds the smaller wheel's own int
+    objects: both are immutable, so they share them.
     """
 
     basis: CoprimeBasis
@@ -183,61 +182,12 @@ def is_survivor(basis: CoprimeBasis, x: int) -> bool:
     return all(x % m != 0 for m in basis.moduli)
 
 
-def _strike(n: int, classes) -> bytearray:
-    """One flag per integer 0..n: 0 where x = r (mod m) for some (r, m) in
-    ``classes``, 1 elsewhere."""
-    alive = bytearray([1]) * (n + 1)
-    for r, m in classes:
-        alive[r::m] = bytes(len(range(r, n + 1, m)))
-    return alive
-
-
 def survivor_flags(moduli, n: int) -> bytearray:
     """One flag per integer 0..n: 1 where no modulus divides it."""
-    return _strike(n, ((0, m) for m in moduli))
-
-
-def _rolls(basis: CoprimeBasis) -> bool:
-    """Whether rolling one period over ``basis`` costs less than striking it.
-
-    The strike makes an int for every candidate of the period.  The roll
-    makes one for each residue it keeps at every stage after the first,
-    counted as for the wheel, whose stages are no smaller than a pair
-    census's, and pays a set-up for each row: one per unit of every
-    modulus but the largest, whose residues come from ``range``.
-    """
-    moduli, period = basis.moduli, basis.period
-    if len(moduli) < 2:
-        return False  # nothing to roll by
-    rows = _ROLL_PER_ROW * (sum(moduli) - moduli[-1])
-    if rows >= period:
-        return False  # the rows' set-up alone outprices the strike
-    made, kept = 0, moduli[-1] - 1
-    for m in moduli[:-1]:
-        kept *= m - 1
-        made += kept
-    return _ROLL_PER_INT * made + rows < period
-
-
-# The prices of a roll, in candidates struck.  A strike makes an int for
-# every candidate, from a range, and drops most; a roll makes one only per
-# residue it keeps, by an add, which with its share of the masks costs
-# about two struck candidates, and each row's set-up about 40.  Forced
-# each way (2 cores, CPython 3.11.7), roll time over strike time, wheel
-# then twin centres:
-#   first 8 primes 0.46, 0.14; first 6 primes 0.50, 0.22;
-#   (2, 3, 5, 7, 11) 0.95, 0.68; (2, 9, 11, 17, 19) 0.77, 0.63;
-#   (3, 4, 13, 17, 19) 0.86, 0.33; (5, 7, 11, 13, 17) 0.94, 0.62;
-#   (7, 11, 13, 17, 19) 1.04, 0.89; (5, 7, 11, 13) 1.28, 0.95;
-#   (3, 5, 1009) 1.58, 0.91; (2, 3, 1009) 1.67, 1.55;
-#   (11, 13, 17, 19) 1.43, 1.20; (4, 9, 25, 49) 1.23, 0.81;
-#   (20, 2783) 1.81, 1.88; (257, 263) 1.33, 1.49; (7, 1009, 1013) 0.99, 1.04;
-#   (4, 9, 25) 1.96, 1.74; (3, 5, 7) 2.65, 2.01; (2, 3, 5, 7) 2.40, 1.92.
-# Over these and 15 more bases, these prices never roll where the roll is
-# slower; they strike where it would be up to 6 % faster for a wheel and
-# up to 2x for centres, whose census is not computed before choosing.
-_ROLL_PER_INT = 2
-_ROLL_PER_ROW = 40
+    alive = bytearray([1]) * (n + 1)
+    for m in moduli:
+        alive[::m] = bytes(len(range(0, n + 1, m)))
+    return alive
 
 
 # Past this many digits an error message gives a period's length, not its
@@ -258,8 +208,9 @@ def _shown(period: int) -> str:
 
 def _check_wheel_cap(period: int, cap: int) -> None:
     """Refuse to materialize a period of more than ``cap`` candidates, or
-    of more than one flag array can index (one flag per candidate, and
-    one more for a pair sieve)."""
+    of more than an index can reach: a wheel's residues are allocated at
+    their count before the first is made, and a wheel read back is checked
+    against one flag per candidate."""
     if period > cap:
         raise CapacityError(f"{_shown(period)} exceeds the wheel cap of {cap} "
                             "residue candidates")
@@ -272,18 +223,14 @@ def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     """Materialize one period: every residue that no basis modulus divides.
 
     Rolls the wheel of the largest modulus by each other modulus in turn,
-    or strikes the multiples of every modulus over the whole period, by
-    whichever ``_rolls`` prices cheaper.  Refuses when the period exceeds
-    ``cap`` candidates; the counting module evaluates arbitrarily large
-    bases without materializing anything.
+    striking from each copy the residues that modulus divides.  Refuses
+    when the period exceeds ``cap`` candidates; the counting module
+    evaluates arbitrarily large bases without materializing anything.
     """
     period, moduli, count = basis.period, basis.moduli, basis.survivor_count
     _check_wheel_cap(period, cap)
-    if _rolls(basis):
-        rows = _rolled(moduli, [(0,)] * len(moduli))
-        residues = tuple(_Counted(chain.from_iterable(rows), count))
-    else:
-        residues = tuple(compress(range(period), survivor_flags(moduli, period - 1)))
+    rows = _rolled(moduli, [(0,)] * len(moduli))
+    residues = tuple(_Counted(chain.from_iterable(rows), count))
     if len(residues) != count:
         raise AssertionError(
             f"wheel holds {len(residues)} residues, not the {count} "
@@ -395,8 +342,7 @@ def _rolled(moduli: tuple[int, ...], struck) -> Iterator[Iterator[int]]:
 class _Counted:
     """``items`` whose number is known.  ``tuple`` reads the count before
     the first item and allocates the whole result at once: it is never
-    regrown, and a size no allocator grants is refused before any work, as
-    the strike's flag array is."""
+    regrown, and a size no allocator grants is refused before any work."""
 
     __slots__ = ("items", "count")
 

@@ -57,7 +57,8 @@ def subdivision(basis: CoprimeBasis, chosen: int) -> SubdivisionReport:
         raise ValueError(f"{chosen} is not a basis modulus")
     pieces = chosen - 1
     length = Fraction(basis.period, pieces)
-    expected_step = basis.without(chosen).survivor_count
+    # survivor_count is prod(m - 1), so this is the count without ``chosen``
+    expected_step = basis.survivor_count // pieces
     counts = _floor_counts(
         basis.moduli, [k * basis.period // pieces for k in range(1, pieces + 1)])
     intervals = []
@@ -98,7 +99,7 @@ def subdivision_boundary_check(basis: CoprimeBasis) -> bool:
     """
     m = basis.largest()
     [count] = _floor_counts(basis.moduli, [basis.period // (m - 1)])
-    return count == basis.without(m).survivor_count
+    return count == basis.survivor_count // (m - 1)
 
 
 def cycle_table(basis: CoprimeBasis) -> tuple[CycleTableRow, ...]:

@@ -11,7 +11,7 @@ survivors are the (1, 1) case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from math import prod
 
 from .basis import (
@@ -20,8 +20,6 @@ from .basis import (
     _check_wheel_cap,
     _Counted,
     _rolled,
-    _rolls,
-    _strike,
 )
 
 
@@ -88,20 +86,17 @@ def enumerate_pair_centers(
 
     Every modulus m forbids the two classes a center must avoid, a and -b
     (mod m), the ones ``pair_count`` counts; the centers are what is left,
-    rolled from the largest modulus's or struck over one period, as
-    ``build_wheel`` does.  Neighbors wrap modulo the period, so a center
-    near either end pairs with a survivor from the adjacent copy of the
-    pattern, and the center 0 is reported as the period.  The result
-    length always equals the census prediction.
+    rolled from the largest modulus's classes by each other modulus in
+    turn, as ``build_wheel`` rolls its wheel.  Neighbors wrap modulo the
+    period, so a center near either end pairs with a survivor from the
+    adjacent copy of the pattern, and the center 0 is reported as the
+    period.  The result length always equals the census prediction.
     """
     period = basis.period
     _check_wheel_cap(period, cap)
-    if _rolls(basis):
-        struck = [_forbidden(m, spec) for m in basis]
-        centers = chain.from_iterable(_rolled(basis.moduli, struck))
-        if all(0 not in s for s in struck):  # 0 leads: report it as the period
-            centers = chain(islice(centers, 1, None), (period,))
-        census = prod(m - len(s) for m, s in zip(basis, struck))
-        return tuple(_Counted(centers, census))
-    alive = _strike(period, ((r, m) for m in basis for r in _forbidden(m, spec)))
-    return tuple(compress(range(1, period + 1), alive[1:]))
+    struck = [_forbidden(m, spec) for m in basis]
+    centers = chain.from_iterable(_rolled(basis.moduli, struck))
+    if all(0 not in s for s in struck):  # 0 leads: report it as the period
+        centers = chain(islice(centers, 1, None), (period,))
+    census = prod(m - len(s) for m, s in zip(basis, struck))
+    return tuple(_Counted(centers, census))

@@ -68,8 +68,10 @@ _PARAMS = {
 }
 DEPTHS = tuple(_PARAMS)
 
-# Its wheel and its pair centres are rolled, where most bases drawn here
-# are struck: the checks that compare with a strike or a direct test use it.
+# Checked at every seed, whatever the draw: five moduli, so its wheel and
+# pair centres roll through four stages, and a largest modulus, 29, that no
+# drawn basis holds.  The checks that compare with a strike or a direct test
+# use it.
 _ROLLED = (2, 3, 5, 7, 29)
 
 # Pairwise-coprime composite bases exercising the non-prime generality.

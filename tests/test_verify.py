@@ -150,15 +150,18 @@ for family, module, name, fault in faults:
 """
 
 
-def test_checks_catch_injected_fault_under_optimize():
+# Every check must catch its faults with and without assert statements.
+@pytest.mark.parametrize("flags, optimize", [((), 0), (("-O",), 1)],
+                         ids=["python", "python-O"])
+def test_checks_catch_injected_fault(flags, optimize):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-O", "-c", _INJECTED_FAULTS],
+    done = subprocess.run([sys.executable, *flags, "-c", _INJECTED_FAULTS],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "optimize 1",
+        f"optimize {optimize}",
         "wheel wheel.periodicity wheel.symmetry wheel.composite_moduli",
         "wheel wheel.periodicity",
         "count count.method_agreement count.peel_largest count.peel_any",
@@ -171,9 +174,10 @@ def test_checks_catch_injected_fault_under_optimize():
         "pairs pairs.census_exact pairs.twin_product pairs.merged_offsets",
         "pairs pairs.center_shift pairs.center_mirror",
         "wheel wheel.count_product wheel.order_independence",
-        "wheel wheel.count_product wheel.order_independence",
-        "pairs pairs.center_shift",
-        "pairs pairs.center_shift",
+        "wheel wheel.count_product wheel.one_kill_per_row "
+        "wheel.order_independence",
+        "pairs pairs.center_shift pairs.center_mirror",
+        "pairs pairs.center_shift pairs.center_mirror",
         "ring ring.group_axioms ring.product_map",
         "ring ring.group_axioms",
     ]
