@@ -88,10 +88,12 @@ def _coprime_product(moduli: tuple[int, ...], lo: int, hi: int) -> int:
     """The product of moduli[lo:hi], which must be pairwise coprime.
 
     A long run is split in halves, and one gcd of the two halves' products
-    checks every pair across them, so the check costs about what the
-    product does.  A clash raises ValueError naming the later modulus b
-    where the check meets it and the first modulus a that shares a factor
-    with b.
+    checks every pair across them.  The gcds cost more than the product and
+    grow about quadratically: on a 2-core x86-64 host under CPython 3.11
+    this took 0.05, 0.38 and 2.6 s for 15k, 40k and 100k primes, 5.4x, 6.8x
+    and 9.0x a plain product tree.  A clash raises ValueError naming the
+    later modulus b where the check meets it and the first modulus a that
+    shares a factor with b.
     """
     # Below about 32 moduli one gcd per modulus against the running product
     # is cheaper: splitting 12 moduli down to single ones took 2.3x as long.
@@ -158,8 +160,10 @@ def _first_primes(n: int) -> tuple[int, ...]:
 def make_prime_basis(n: int) -> CoprimeBasis:
     """Basis of the first ``n`` primes (n = 0 gives the empty basis).
 
-    Practical cap: n in the thousands is instant; beyond ~10**6 the
-    prime sieve's memory dominates.
+    Practical cap: n in the thousands is instant.  The primes are cheap
+    (10**6 of them in about 0.6 s); the basis's coprimality check is not,
+    growing about quadratically to 2.6 s at 10**5 primes; at 10**6 it
+    gave no answer in 90 s.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -208,15 +212,17 @@ def _shown(period: int) -> str:
 
 def _check_wheel_cap(period: int, cap: int) -> None:
     """Refuse to materialize a period of more than ``cap`` candidates, or
-    of more than an index can reach: a wheel's residues are allocated at
-    their count before the first is made, and a wheel read back is checked
-    against one flag per candidate."""
+    of more than an index can reach.  A wheel, an extension or a pair-centre
+    set allocates one tuple at its count before the first residue is made,
+    and a wheel read back is checked against one flag per candidate; past
+    ``sys.maxsize`` either allocation would raise OverflowError, not refuse.
+    """
     if period > cap:
         raise CapacityError(f"{_shown(period)} exceeds the wheel cap of {cap} "
                             "residue candidates")
     if period >= sys.maxsize:
         raise CapacityError(f"{_shown(period)} exceeds {sys.maxsize - 1}, the "
-                            "most residue candidates one flag array can index")
+                            "most residue candidates an index can reach")
 
 
 def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
@@ -227,16 +233,11 @@ def build_wheel(basis: CoprimeBasis, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel:
     when the period exceeds ``cap`` candidates; the counting module
     evaluates arbitrarily large bases without materializing anything.
     """
-    period, moduli, count = basis.period, basis.moduli, basis.survivor_count
-    _check_wheel_cap(period, cap)
-    rows = _rolled(moduli, [(0,)] * len(moduli))
-    residues = tuple(_Counted(chain.from_iterable(rows), count))
-    if len(residues) != count:
-        raise AssertionError(
-            f"wheel holds {len(residues)} residues, not the {count} "
-            "the product formula requires"
-        )
-    return Wheel(basis=basis, period=period, residues=residues, count=count)
+    _check_wheel_cap(basis.period, cap)
+    rows = _rolled(basis.moduli, [(0,)] * len(basis))
+    residues = _kept(rows, basis.survivor_count)
+    return Wheel(basis=basis, period=basis.period, residues=residues,
+                 count=len(residues))
 
 
 def killer_index(wheel: Wheel, m: int, a: int) -> int:
@@ -260,16 +261,15 @@ def extend_wheel(wheel: Wheel, m: int, *, cap: int = DEFAULT_WHEEL_CAP) -> Wheel
     One ``_roll`` of the wheel by m: m copies of its residues in order,
     K * period + a, less the one copy of each residue that m divides, the
     one at ``killer_index(wheel, m, a)``.  Row 0 keeps the wheel's own int
-    objects.  The tuple is allocated once, at its known length, and filled
-    in one pass from the rows, which come out increasing, so nothing is
-    sorted.
+    objects.  The rows come out increasing, so nothing is sorted, and
+    ``_kept`` holds them to the wheel's count times m - 1.
     """
     basis = make_basis(wheel.basis.moduli + (m,))  # rejects m < 2
     if gcd(m, wheel.period) != 1:
         raise ValueError(f"{m} shares a factor with the period {wheel.period}")
     _check_wheel_cap(basis.period, cap)
     rows = _roll(wheel.residues, wheel.period, m, (0,))
-    residues = tuple(_Counted(chain.from_iterable(rows), len(wheel.residues) * (m - 1)))
+    residues = _kept(rows, len(wheel.residues) * (m - 1))
     return Wheel(basis=basis, period=basis.period, residues=residues,
                  count=len(residues))
 
@@ -322,7 +322,7 @@ def _rolled(moduli: tuple[int, ...], struck) -> Iterator[Iterator[int]]:
     Takes the largest modulus's residues from ``range``, then rolls them by
     each other modulus, ascending: a big modulus rolled late would make many
     short rows, each paying its set-up.  Nothing runs before the first row
-    is asked for, so a ``_Counted`` result is allocated first.
+    is asked for, so ``_kept`` allocates its result first.
     """
     if not moduli:
         yield iter((0,))
@@ -337,6 +337,17 @@ def _rolled(moduli: tuple[int, ...], struck) -> Iterator[Iterator[int]]:
         rows = _roll(tuple(chain.from_iterable(rows)), period, m, s)
         period *= m
     yield from rows
+
+
+def _kept(rows: Iterator[Iterator[int]], count: int) -> tuple[int, ...]:
+    """The rows of a roll chained into one tuple, allocated once at
+    ``count``, the number the product formula gives.  A roll that makes
+    any other number raises AssertionError naming both, under ``-O`` too."""
+    items = tuple(_Counted(chain.from_iterable(rows), count))
+    if len(items) != count:
+        raise AssertionError(f"a roll made {len(items)} residues, not the "
+                             f"{count} the product formula requires")
+    return items
 
 
 class _Counted:

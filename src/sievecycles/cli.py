@@ -115,7 +115,8 @@ def _resolve_caps(args) -> None:
 def _basis_from_args(args) -> CoprimeBasis:
     """The basis of --n or --moduli, checked as every basis is.  A command
     that materializes a wheel refuses it on the cap once the basis is
-    built: the check costs about what the period's product does."""
+    built, before any count or residue is computed: no path skips the
+    basis check, though it costs several times the period's product."""
     if args.n is not None and args.moduli is not None:
         raise UsageError("--n and --moduli are mutually exclusive")
     if args.n is not None:

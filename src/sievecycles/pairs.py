@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from math import prod
 
-from .basis import (
-    DEFAULT_WHEEL_CAP,
-    CoprimeBasis,
-    _check_wheel_cap,
-    _Counted,
-    _rolled,
-)
+from .basis import DEFAULT_WHEEL_CAP, CoprimeBasis, _check_wheel_cap, _kept, _rolled
 
 
 @dataclass(frozen=True)
@@ -90,13 +84,14 @@ def enumerate_pair_centers(
     turn, as ``build_wheel`` rolls its wheel.  Neighbors wrap modulo the
     period, so a center near either end pairs with a survivor from the
     adjacent copy of the pattern, and the center 0 is reported as the
-    period.  The result length always equals the census prediction.
+    period.  The result's length is checked against the census
+    prediction: any other length raises AssertionError.
     """
     period = basis.period
     _check_wheel_cap(period, cap)
     struck = [_forbidden(m, spec) for m in basis]
-    centers = chain.from_iterable(_rolled(basis.moduli, struck))
+    rows = _rolled(basis.moduli, struck)
     if all(0 not in s for s in struck):  # 0 leads: report it as the period
-        centers = chain(islice(centers, 1, None), (period,))
-    census = prod(m - len(s) for m, s in zip(basis, struck))
-    return tuple(_Counted(centers, census))
+        rows = chain((islice(row, 1, None) for row in islice(rows, 1)), rows,
+                     [(period,)])
+    return _kept(rows, prod(m - len(s) for m, s in zip(basis, struck)))

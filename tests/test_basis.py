@@ -163,7 +163,7 @@ class TestBuildWheel:
             build_wheel(make_prime_basis(4), cap=100)
 
     def test_a_cap_past_the_index_range_still_refuses(self):
-        # 17 primes: a period of 22 digits, past any flag array's index
+        # 17 primes: a period of 22 digits, past any residue tuple's index
         with pytest.raises(CapacityError, match="index"):
             build_wheel(make_prime_basis(17), cap=10**30)
 

@@ -459,8 +459,9 @@ class TestNegativeCaps:
 
 
 class TestCapsPastTheIndexRange:
-    """A cap above sys.maxsize cannot buy a flag array longer than an index
-    reaches: each run is refused before anything is allocated."""
+    """A cap above sys.maxsize cannot buy a residue tuple, or an oracle's
+    flag array, longer than an index reaches: each run is refused before
+    anything is allocated."""
 
     HUGE = str(10**30)
 
@@ -485,8 +486,9 @@ class TestCapsPastTheIndexRange:
 
 class TestWheelRefusedBeforeItsBasis:
     """With --n, a command that materializes a wheel refuses it on the cap
-    in one short line, before any flag array is made: the basis check
-    costs about what the period's product does, so no path skips it."""
+    in one short line, before any count product or residue is made.  The
+    basis is still checked first, so no path skips that check, though it
+    costs several times the period's product."""
 
     REFUSAL = ("capacity error: a period of 151937 digits exceeds the wheel "
                "cap of 100000000 residue candidates\n")

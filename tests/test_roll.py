@@ -5,13 +5,16 @@ one period from the wave before; every case is checked against a test of
 each candidate on its own.
 """
 
+from itertools import islice
 from math import gcd, prod
 
+import pytest
 from conftest import oracle_centers, oracle_survives
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sievecycles.basis import build_wheel, extend_wheel, make_basis
+from sievecycles import basis as basis_module
+from sievecycles.basis import build_wheel, extend_wheel, make_basis, make_prime_basis
 from sievecycles.pairs import PairSpec, enumerate_pair_centers
 
 # 255, 256 and 257 sit either side of the largest class that fits in a
@@ -79,3 +82,34 @@ def test_wheels_and_centers_match_the_oracles(case):
     if extension is not None:
         assert grown.residues == survivors
         assert grown.basis == basis
+
+
+def _one_too_few(roll):
+    """``roll`` with the first residue of row 0 dropped."""
+    def rolled(*args):
+        rows = roll(*args)
+        yield islice(next(rows), 1, None)
+        yield from rows
+    return rolled
+
+
+def _one_too_many(roll):
+    """``roll`` with one more row, of one residue past the roll."""
+    def rolled(residues, period, m, struck):
+        yield from roll(residues, period, m, struck)
+        yield iter((m * period,))
+    return rolled
+
+
+@pytest.mark.parametrize("fault", [_one_too_few, _one_too_many])
+def test_a_roll_of_the_wrong_count_raises(fault, monkeypatch):
+    """Every rolled period is held to its product-formula count: 48
+    residues for (2, 3, 5, 7) and 15 twin centres, built or extended."""
+    smaller = build_wheel(make_prime_basis(3))
+    monkeypatch.setattr(basis_module, "_roll", fault(basis_module._roll))
+    with pytest.raises(AssertionError, match="not the 48 the product formula"):
+        build_wheel(make_prime_basis(4))
+    with pytest.raises(AssertionError, match="not the 48 the product formula"):
+        extend_wheel(smaller, 7)
+    with pytest.raises(AssertionError, match="not the 15 the product formula"):
+        enumerate_pair_centers(make_prime_basis(4), PairSpec(1, 1))
