@@ -541,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         _resolve_caps(args)
@@ -556,10 +557,12 @@ def main(argv=None, out=None) -> int:
         return 2
     except MemoryError:
         # a cap set between free memory and the index range lets a request
-        # through that no allocation can meet
-        caps = ", ".join(flag for _, flag, *_ in _CAPS)
-        print(f"capacity error: out of memory; a lower cap ({caps}) refuses "
-              "this request before allocating", file=sys.stderr)
+        # through that no allocation can meet; name only the caps this
+        # subcommand accepts
+        caps = ", ".join(flag for dest, flag, *_ in _CAPS if hasattr(args, dest))
+        advice = (f"; a lower cap ({caps}) refuses this request before allocating"
+                  if caps else "")
+        print(f"capacity error: out of memory{advice}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

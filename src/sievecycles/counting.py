@@ -10,8 +10,11 @@ Survivors are integers, so f(x) = f(floor(x)), and floor(floor(x) / d)
 equals floor(x / d).  Each route floors its boundary once, right after
 parsing it, and counts on plain ``int`` from there on.
 
-Five interchangeable evaluation routes are provided, each returning the
-same exact integer:
+Five interchangeable functions return the same exact integer by three
+evaluation routes: the sieve oracle, inclusion-exclusion, and the phi
+kernel, which ``count_meissel``, ``count_generalized_meissel`` and
+``count_periodic`` all call (the first and the last make the very same
+call and differ only in the method they report):
 
 * ``count_by_sieve``       -- mark multiples up to floor(x); the oracle.
 * ``count_legendre``       -- signed sum of floor(x / d) over squarefree
@@ -39,9 +42,10 @@ same exact integer:
                               2^(k - c) leaves.
 * ``count_generalized_meissel`` -- same peel for *any* chosen modulus,
                               over the kernel of the remaining basis.
-* ``count_periodic``       -- the kernel on floor(x), which reduces x
-                              modulo the period first; cheap for
-                              astronomically large x.
+* ``count_periodic``       -- ``count_meissel``'s kernel call under its
+                              own name: the kernel reduces x modulo the
+                              period before it peels, which makes it
+                              cheap for astronomically large x.
 """
 
 from __future__ import annotations
@@ -558,13 +562,15 @@ def count_generalized_meissel(basis: CoprimeBasis, drop: int, x) -> CountResult:
 
 
 def count_periodic(basis: CoprimeBasis, x) -> CountResult:
-    """Count floor(x) by the kernel, which reduces by the period first.
+    """Count floor(x) by periodic reduction: ``count_meissel``'s kernel call.
 
     f(K * period + r) = K * survivor_count + f(r), so only r in [0, period)
-    ever needs direct evaluation: the kernel reduces by the period of the
-    moduli <= x before it walks (see ``_floor_counts``), and again at each
-    level of its peel where residues repeat (see ``_phi``).  Cheap for
-    astronomically large x.
+    ever needs direct evaluation.  The kernel does that reduction on every
+    call: by the period of the moduli <= x before it walks (see
+    ``_floor_counts``), and again at each level of its peel where residues
+    repeat (see ``_phi``).  So this is the same call as ``count_meissel``,
+    not a separate route, and differs only in the method it reports.
+    Cheap for astronomically large x.
     """
     return _kernel_count(basis, x, METHOD_PERIODIC)
 

@@ -6,12 +6,18 @@ survivors in every piece: the count at boundary K * period / (m - 1) is
 exactly K times the survivor count of the basis with m removed.  Summing
 over all moduli, one period carries sum(m - 1) such predictable interval
 families.
+
+That law is written once, as one row per modulus (``_row``): the cycle
+table lists the rows, the subdivision counts along its modulus's row and
+checks every interval against it, and the boundary check compares the
+largest modulus's first boundary with its row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .basis import CoprimeBasis
 from .counting import _floor_counts
@@ -41,8 +47,21 @@ class CycleTableRow:
     survivors_per_interval: int        # survivor_count / (modulus - 1)
 
 
+def _row(basis: CoprimeBasis, m: int) -> CycleTableRow:
+    """What the law predicts for modulus m, uncounted."""
+    pieces = m - 1
+    # survivor_count is prod(m' - 1), so m - 1 divides it, and the quotient
+    # is the survivor count of the basis without m
+    return CycleTableRow(
+        modulus=m,
+        interval_count=pieces,
+        interval_size=Fraction(basis.period, pieces),
+        survivors_per_interval=basis.survivor_count // pieces,
+    )
+
+
 def subdivision(basis: CoprimeBasis, chosen: int) -> SubdivisionReport:
-    """Cut one period along multiples of period / (chosen - 1) and count.
+    """Cut one period along the boundaries of ``chosen``'s row and count.
 
     Boundaries are evaluated exactly (no materialized wheel), all through
     one call of the counting kernel.  Its survivor table and its memo of
@@ -50,71 +69,47 @@ def subdivision(basis: CoprimeBasis, chosen: int) -> SubdivisionReport:
     about chosen - 1 residues, so the cost grows with the number of
     moduli times the boundaries, not exponentially: 100 primes at
     chosen = 97 take tens of milliseconds.  The equal-count structure is
-    checked rather than assumed.
+    checked rather than assumed: each interval must hold the row's
+    survivors per interval, and so, in chosen - 1 steps, the whole period's.
     chosen = 2 is the degenerate single interval holding the whole period.
     """
     if chosen not in basis:
         raise ValueError(f"{chosen} is not a basis modulus")
-    pieces = chosen - 1
-    length = Fraction(basis.period, pieces)
-    # survivor_count is prod(m - 1), so this is the count without ``chosen``
-    expected_step = basis.survivor_count // pieces
-    counts = _floor_counts(
-        basis.moduli, [k * basis.period // pieces for k in range(1, pieces + 1)])
+    row = _row(basis, chosen)
+    size, step = row.interval_size, row.survivors_per_interval
+    counts = _floor_counts(basis.moduli, [
+        k * size.numerator // size.denominator
+        for k in range(1, row.interval_count + 1)])
     intervals = []
-    previous = 0
     for k, cumulative in enumerate(counts, start=1):
-        step = cumulative - previous
-        if step != expected_step:
+        # every earlier interval held ``step``
+        held = cumulative - (k - 1) * step
+        if held != step:
             raise AssertionError(
-                f"interval {k} of modulus {chosen} holds {step} survivors, "
-                f"not {expected_step}"
+                f"interval {k} of modulus {chosen} holds {held} survivors, "
+                f"not {step}"
             )
-        intervals.append(SubdivisionInterval(
-            index=k,
-            boundary=length * k,
-            cumulative_count=cumulative,
-            per_interval_count=step,
-        ))
-        previous = cumulative
-    if previous != basis.survivor_count:
-        raise AssertionError(
-            f"subdivision totals {previous}, not {basis.survivor_count}"
-        )
-    return SubdivisionReport(
-        basis=basis,
-        chosen_modulus=chosen,
-        interval_length=length,
-        intervals=tuple(intervals),
-    )
+        intervals.append(SubdivisionInterval(k, size * k, cumulative, held))
+    return SubdivisionReport(basis, chosen, size, tuple(intervals))
 
 
 def subdivision_boundary_check(basis: CoprimeBasis) -> bool:
     """Does the first subdivision boundary carry a full reduced period?
 
     With m the largest modulus: the survivor count up to
-    period / (m - 1) must equal the reduced basis's count over its own
-    whole period (period / m).  The left side is counted; the right side
-    is the reduced basis's product formula, prod(m' - 1).
+    period / (m - 1), its row's interval size, must equal the reduced
+    basis's count over its own whole period (period / m), its row's
+    survivors per interval.  The left side is counted; the right side is
+    the reduced basis's product formula, prod(m' - 1).
     """
-    m = basis.largest()
-    [count] = _floor_counts(basis.moduli, [basis.period // (m - 1)])
-    return count == basis.survivor_count // (m - 1)
+    row = _row(basis, basis.largest())
+    [count] = _floor_counts(basis.moduli, [floor(row.interval_size)])
+    return count == row.survivors_per_interval
 
 
 def cycle_table(basis: CoprimeBasis) -> tuple[CycleTableRow, ...]:
     """One row per modulus: how many equal intervals, how long, how full."""
-    rows = []
-    for m in basis:
-        pieces = m - 1
-        # survivor_count is divisible by m - 1: it contains that very factor.
-        rows.append(CycleTableRow(
-            modulus=m,
-            interval_count=pieces,
-            interval_size=Fraction(basis.period, pieces),
-            survivors_per_interval=basis.survivor_count // pieces,
-        ))
-    return tuple(rows)
+    return tuple(_row(basis, m) for m in basis)
 
 
 def total_intervals(basis: CoprimeBasis) -> int:

@@ -554,6 +554,25 @@ def test_out_of_memory_is_a_capacity_error(command):
     assert "--wheel-cap" in done.stderr
 
 
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("name, argv, stderr", [
+    # cycles accepts no cap, so no cap is offered
+    ("subdivision", ["cycles", "--n", "4", "--chosen", "7"],
+     "capacity error: out of memory\n"),
+    ("count_legendre", ["count", "--n", "4", "--x", "100", "--method", "legendre"],
+     "capacity error: out of memory; a lower cap (--oracle-cap) refuses this "
+     "request before allocating\n"),
+])
+def test_out_of_memory_names_only_the_caps_accepted(name, argv, stderr,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, _exhausted)
+    assert cli.main(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == stderr
+
+
 # Each writes far more than a pipe holds, so it is still writing when the
 # reader goes away.
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import oracle_count
@@ -59,6 +63,48 @@ class TestSubdivision:
         assert len(report.intervals) == 8
         step = basis.without(9).survivor_count
         assert all(iv.per_interval_count == step for iv in report.intervals)
+
+
+# The third boundary counted one too high: its interval holds one survivor
+# too many and the next one too few, so the total is still right and only
+# the per-interval check can tell.
+_THIRD_BOUNDARY_HIGH = """
+from unittest.mock import patch
+from sievecycles import counting, cycles, make_prime_basis
+
+def third_high(moduli, ns):
+    counts = counting._floor_counts(moduli, ns)
+    counts[2] += 1
+    return counts
+
+with patch.object(cycles, "_floor_counts", third_high):
+    try:
+        cycles.subdivision(make_prime_basis(4), 7)
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_subdivision_catches_one_wrong_interval(flags):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *flags, "-c", _THIRD_BOUNDARY_HIGH],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "interval 3 of modulus 7 holds 9 survivors, not 8\n"
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (4, 9, 25), (6, 35), (20, 2783)])
+def test_table_rows_are_what_subdivision_counts(moduli):
+    basis = make_basis(moduli)
+    for row in cycle_table(basis):
+        report = subdivision(basis, row.modulus)
+        assert row.interval_count == len(report.intervals)
+        assert row.interval_size == report.interval_length
+        assert {row.survivors_per_interval} == \
+            {iv.per_interval_count for iv in report.intervals}
 
 
 class TestBoundaryCheck:
