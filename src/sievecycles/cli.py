@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from .basis import (
     DEFAULT_WHEEL_CAP,
@@ -33,6 +33,7 @@ from .basis import (
     iter_survivors,
     make_basis,
     make_prime_basis,
+    survivor_blocks,
     survivor_flags,
 )
 from .counting import (
@@ -114,9 +115,10 @@ def _resolve_caps(args) -> None:
 
 def _basis_from_args(args) -> CoprimeBasis:
     """The basis of --n or --moduli, checked as every basis is.  A command
-    that materializes a wheel refuses it on the cap once the basis is
-    built, before any count or residue is computed: no path skips the
-    basis check, though it costs several times the period's product."""
+    that takes the wheel cap (``list`` even where it strikes a window
+    without a wheel) refuses the period on it once the basis is built,
+    before any count or residue is computed: no path skips the basis
+    check, though it costs several times the period's product."""
     if args.n is not None and args.moduli is not None:
         raise UsageError("--n and --moduli are mutually exclusive")
     if args.n is not None:
@@ -303,7 +305,7 @@ def _wheel_problem(basis: CoprimeBasis, period, residues: tuple) -> str | None:
         return "residues must be strictly increasing"
     if residues[0] < 0 or residues[-1] >= period:
         return f"residues must lie in [0, {period})"
-    alive = survivor_flags(basis.moduli, period - 1)
+    alive = survivor_flags(basis.moduli, 0, period - 1)
     struck = next((r for r in residues if not alive[r]), None)
     if struck is not None:
         return f"residue {struck} is divisible by a basis modulus"
@@ -311,21 +313,34 @@ def _wheel_problem(basis: CoprimeBasis, period, residues: tuple) -> str | None:
 
 
 def cmd_list(args) -> Report:
+    """Survivors in [lo, hi].  A window narrower than the period is struck
+    block by block, with no wheel; a wider one, or a wheel read from a file,
+    is walked period by period.  Either way the wheel cap refuses the
+    period."""
     if args.from_wheel is not None:
         if args.n is not None or args.moduli is not None:
             raise UsageError("--from-wheel replaces --n/--moduli")
         wheel = _load_wheel_json(args.from_wheel, cap=args.wheel_cap)
+        basis = wheel.basis
     else:
-        wheel = build_wheel(_basis_from_args(args), cap=args.wheel_cap)
+        basis, wheel = _basis_from_args(args), None
+        _check_wheel_cap(basis.period, args.wheel_cap)
     lo = args.lo if args.lo is not None else 1
-    hi = args.hi if args.hi is not None else wheel.period
+    hi = args.hi if args.hi is not None else basis.period
     if lo < 0 or hi < lo:
         raise UsageError("need 0 <= lo <= hi")
+    if wheel is None and hi - lo + 1 >= basis.period:
+        wheel = build_wheel(basis, cap=args.wheel_cap)
+
+    def walk() -> Iterator[int]:
+        if wheel is not None:
+            return iter_survivors(wheel, lo, hi)
+        blocks = survivor_blocks(basis.moduli, lo, hi)
+        return compress(range(lo, hi + 1), chain.from_iterable(blocks))
+
     # three lazy walks, of which the renderer consumes one
-    return Report({"command": "list", "lo": lo, "hi": hi}, wheel.basis.moduli,
-                  iter_survivors(wheel, lo, hi), ["survivor"],
-                  ([x] for x in iter_survivors(wheel, lo, hi)),
-                  map(str, iter_survivors(wheel, lo, hi)))
+    return Report({"command": "list", "lo": lo, "hi": hi}, basis.moduli, walk(),
+                  ["survivor"], ([x] for x in walk()), map(str, walk()))
 
 
 def cmd_wheel(args) -> Report:

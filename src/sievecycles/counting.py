@@ -60,7 +60,7 @@ from itertools import accumulate, repeat
 from math import ceil, floor, isqrt, lcm, prod
 from operator import floordiv, mul
 
-from .basis import CoprimeBasis, _require_ascending, survivor_flags
+from .basis import CoprimeBasis, _require_ascending, survivor_blocks, survivor_flags
 from .errors import CapacityError
 
 DEFAULT_ORACLE_CAP = 10**7
@@ -130,16 +130,19 @@ def _floor_boundary(x) -> int:
 
 
 def count_by_sieve(basis: CoprimeBasis, x, *, cap: int = DEFAULT_ORACLE_CAP) -> CountResult:
-    """Oracle count: strike multiples of every modulus in [1, floor(x)]."""
+    """Oracle count: strike multiples of every modulus in [1, floor(x)].
+
+    The window is struck and counted one block at a time, so memory holds
+    one block of flags however large floor(x) is.
+    """
     n = _floor_boundary(x)
     if n > cap:
         raise CapacityError(f"floor(x) = {n} exceeds the oracle cap of {cap}")
-    if n >= sys.maxsize:  # one flag for each of 0..n
+    if n >= sys.maxsize:  # at a nanosecond a flag, about 300 years of striking
         raise CapacityError(f"floor(x) = {n} exceeds {sys.maxsize - 1}, the "
-                            "largest bound one flag array can index")
-    if n < 1:
-        return CountResult(0, METHOD_ORACLE)
-    return CountResult(survivor_flags(basis.moduli, n).count(1, 1), METHOD_ORACLE)
+                            "most integers the oracle scans under any cap")
+    blocks = survivor_blocks(basis.moduli, 1, n)
+    return CountResult(sum(flags.count(1) for flags in blocks), METHOD_ORACLE)
 
 
 # Both exact counters resolve their smallest moduli from a table of at
@@ -516,7 +519,7 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
     moduli = moduli[:k]  # the rest strike nothing
     periods += [top + 1] * (k + 1 - len(periods))
     c, memo = _plan(ns, moduli, k, periods, whole)
-    flags = survivor_flags(moduli[:c], min(periods[c] - 1, top))
+    flags = survivor_flags(moduli[:c], 0, min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top
     counts = _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)), memo)
     return [w + v for w, v in zip(waves, counts)]

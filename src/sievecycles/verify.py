@@ -123,7 +123,7 @@ def _random_boundary(rng: random.Random, cap: int) -> Fraction:
 def _asymmetric_residues(basis: CoprimeBasis) -> list[int]:
     """Every a in (0, period) whose mirror period - a differs in survivorship."""
     period = basis.period
-    alive = survivor_flags(basis.moduli, period)
+    alive = survivor_flags(basis.moduli, 0, period)
     return [a for a in range(1, period) if alive[a] != alive[period - a]]
 
 
@@ -163,7 +163,7 @@ def _struck_residues(basis: CoprimeBasis) -> tuple[int, ...]:
     """One period's survivors by striking every candidate: the route that a
     rolled wheel is checked against."""
     period = basis.period
-    return tuple(compress(range(period), survivor_flags(basis.moduli, period - 1)))
+    return tuple(compress(range(period), survivor_flags(basis.moduli, 0, period - 1)))
 
 
 def check_wheel_count_product(rng, p):
@@ -351,16 +351,14 @@ def check_cycles_uniform_counts(rng, p):
         chosen = rng.choice(basis.moduli)
         step = basis.without(chosen).survivor_count
         boundaries = [Fraction(k * basis.period, chosen - 1) for k in range(1, chosen)]
-        # One oracle sieve up to the largest boundary within reach, read
-        # through a running count; Legendre takes the boundaries beyond it.
-        reach = max((floor(b) for b in boundaries if b <= 10**5), default=0)
-        alive = survivor_flags(basis.moduli, reach)
-        running = counted = 0
+        # Within reach each interval is struck over its own window and added
+        # to a running count; Legendre takes the boundaries beyond it.
+        got = counted = 0
         for k, boundary in enumerate(boundaries, start=1):
             if boundary <= 10**5:
                 n = floor(boundary)
-                running += alive.count(1, counted + 1, n + 1)
-                counted, got = n, running
+                got += survivor_flags(basis.moduli, counted + 1, n).count(1)
+                counted = n
             else:
                 got = count_legendre(basis, boundary).value
             _require(got == k * step,
@@ -484,14 +482,14 @@ def check_pairs_merged_offsets(rng, p):
 
 def check_pairs_center_shift(rng, p):
     # every x in (3P, 4P] for twins and (1, 59), where x - 1 and x + b are
-    # read from survivor flags, against the rolled centres folded into
-    # (0, P]; then random offsets and x over the first four primes
+    # read from the survivor flags of [3P, 4P + b], against the rolled
+    # centres folded into (0, P]; then random offsets and x over the first
+    # four primes
     rolled, basis = make_basis(_ROLLED), make_prime_basis(4)
     period = rolled.period
     for b in (1, 59):
-        alive = survivor_flags(rolled.moduli, 4 * period + b)
-        both = map(and_, alive[3 * period:4 * period],
-                   alive[3 * period + 1 + b:4 * period + 1 + b])
+        alive = survivor_flags(rolled.moduli, 3 * period, 4 * period + b)
+        both = map(and_, alive[:period], alive[1 + b:period + 1 + b])
         direct = set(compress(range(1, period + 1), both))
         centers = set(enumerate_pair_centers(rolled, PairSpec(1, b)))
         _require(direct == centers,

@@ -8,6 +8,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from conftest import oracle_survives
 
 from sievecycles import cli, make_prime_basis, verify
 from sievecycles.verify import CheckResult
@@ -120,6 +121,15 @@ class TestWheelAndList:
         code, text = run_cli("list", "--n", "3", "--lo", "25", "--hi", "65")
         assert text.split() == ["29", "31", "37", "41", "43", "47", "49",
                                 "53", "59", "61"]
+
+    def test_a_short_window_under_a_raised_cap_is_struck(self):
+        # A wheel of 14 primes would hold a period of 1.3e16 candidates,
+        # which no allocator grants; a window of 100 is struck directly.
+        code, text = run_cli("list", "--n", "14", "--wheel-cap", str(10**17),
+                             "--lo", "1", "--hi", "100")
+        primes = make_prime_basis(14).moduli
+        assert (code, text.split()) == (0, [str(x) for x in range(1, 101)
+                                            if oracle_survives(primes, x)])
 
     def test_round_trip_wheel_json_into_list(self, tmp_path):
         code, wheel_json = run_cli("wheel", "--n", "4", "--json")
@@ -459,9 +469,9 @@ class TestNegativeCaps:
 
 
 class TestCapsPastTheIndexRange:
-    """A cap above sys.maxsize cannot buy a residue tuple, or an oracle's
-    flag array, longer than an index reaches: each run is refused before
-    anything is allocated."""
+    """A cap above sys.maxsize cannot buy a residue tuple longer than an
+    index reaches, or an oracle scan of more integers than that: each run
+    is refused before anything is allocated."""
 
     HUGE = str(10**30)
 
@@ -494,7 +504,8 @@ class TestWheelRefusedBeforeItsBasis:
                "cap of 100000000 residue candidates\n")
 
     @pytest.mark.parametrize("argv", [
-        ("wheel",), ("list",), ("pairs", "--enumerate"), ("twins", "--enumerate"),
+        ("wheel",), ("list",), ("list", "--lo", "1", "--hi", "100"),
+        ("pairs", "--enumerate"), ("twins", "--enumerate"),
     ])
     def test_no_basis_is_built(self, argv, capsys):
         assert run_cli(*argv, "--n", "30", "--wheel-cap", "1000") == (2, "")
@@ -552,6 +563,33 @@ def test_out_of_memory_is_a_capacity_error(command):
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("capacity error: out of memory; a lower cap")
     assert "--wheel-cap" in done.stderr
+
+
+# Runs the CLI with the rest of its arguments in a child, stdout to
+# /dev/null, and prints the child's exit code and ru_maxrss as os.wait4
+# reads them.  A child counts the memory of the process it was forked
+# from, so the test forks it from this small interpreter, not from pytest.
+_MAXRSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "sievecycles.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_a_short_window_holds_no_period():
+    # The 8-prime wheel, 1,658,880 residues, once took the child to 81 MiB
+    # to list 18 survivors; the interpreter and import alone take 16-18.
+    pytest.importorskip("resource")
+    done = subprocess.run([sys.executable, "-c", _MAXRSS, "list", "--n", "8",
+                           "--lo", "1", "--hi", "100"], env=cli_process_env(),
+                          capture_output=True, text=True, timeout=60)
+    code, maxrss = map(int, done.stdout.split())
+    kib = maxrss // 1024 if sys.platform == "darwin" else maxrss
+    assert code == 0 and kib < 40 * 1024
 
 
 def _exhausted(*args, **kwargs):
