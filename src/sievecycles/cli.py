@@ -71,7 +71,8 @@ _CAPS = (
     ("oracle_cap", "--oracle-cap", "SIEVECYCLES_ORACLE_CAP", DEFAULT_ORACLE_CAP,
      "largest floor(x) the sieve oracle will scan", ("count",)),
     ("wheel_cap", "--wheel-cap", "SIEVECYCLES_WHEEL_CAP", DEFAULT_WHEEL_CAP,
-     "largest period a wheel may materialize", ("list", "wheel", "pairs", "twins")),
+     "largest period list may span, or wheel, pairs or twins --enumerate "
+     "materialize", ("list", "wheel", "pairs", "twins")),
     ("factor_cap", "--factor-cap", "SIEVECYCLES_FACTOR_CAP", DEFAULT_FACTOR_CAP,
      "largest input phi will trial-divide", ("phi",)),
 )
@@ -114,11 +115,11 @@ def _resolve_caps(args) -> None:
 
 
 def _basis_from_args(args) -> CoprimeBasis:
-    """The basis of --n or --moduli, checked as every basis is.  A command
-    that takes the wheel cap (``list`` even where it strikes a window
-    without a wheel) refuses the period on it once the basis is built,
-    before any count or residue is computed: no path skips the basis
-    check, though it costs several times the period's product."""
+    """The basis of --n or --moduli, checked as every basis is.  It
+    refuses no period: once it returns, ``cmd_list`` holds the period to
+    the wheel cap, and ``build_wheel`` and ``enumerate_pair_centers`` do
+    so inside the library.  A census (``pairs`` or ``twins`` without
+    ``--enumerate``) makes no wheel and never reads the cap."""
     if args.n is not None and args.moduli is not None:
         raise UsageError("--n and --moduli are mutually exclusive")
     if args.n is not None:
@@ -570,6 +571,11 @@ def main(argv=None, out=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an internal check (a roll's residue count, an interval's
+        # survivors) found a wrong result; each runs before output starts
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 3
     except MemoryError:
         # a cap set between free memory and the index range lets a request
         # through that no allocation can meet; name only the caps this

@@ -33,7 +33,7 @@ call and differ only in the method they report):
                               shortcut past moduli above n, and, at each
                               level where the input makes residues repeat,
                               a reduction by that level's own period and a
-                              memo of its residues.  One estimate of each
+                              memo of its residues.  One bound D_a on each
                               level's distinct residues sizes the table to
                               the work it saves and picks the memo levels.
                               At the paper's rational boundaries
@@ -296,16 +296,16 @@ _ENTRIES_PER_LEAF = 16
 _MEMO_LIMIT = 1 << 17
 
 
-def _plan(ns: list[int], moduli: tuple[int, ...], k: int,
+def _plan(ns: list[int], moduli: tuple[int, ...],
           periods: list[int], whole: int) -> tuple[int, list[dict | None]]:
     """The plan of the walk over ``ns``: c, how many moduli the table
     resolves, and the memo of each level a, an empty dict where phi(r, a)
     repeats residues r often enough to pay, else None.
 
-    ``moduli[:k]`` are the moduli <= max(ns), whose product ``whole``
+    ``moduli`` are the k moduli <= max(ns), whose product ``whole``
     exceeds every n (see ``_floor_counts``), and periods[a] bounds the
     residues of level a.  The memo-blind peel visits N = len(ns) * 2^(k - a)
-    nodes at level a, each floor(n / d) for a product d of moduli[a:k].
+    nodes at level a, each floor(n / d) for a product d of moduli[a:].
     Both choices rest on D_a, the least of three bounds on how many of
     those nodes differ:
 
@@ -329,7 +329,7 @@ def _plan(ns: list[int], moduli: tuple[int, ...], k: int,
     N > D), and each repeat saves the a - c steps of a spine, while each
     visit costs one lookup: level a keeps a memo where D_a < N * (a - c).
     """
-    size, top = len(ns), max(ns, default=0)
+    size, top, k = len(ns), max(ns, default=0), len(moduli)
     # Counting leaves alone bounds the table from above; D can only
     # shrink it.
     c = 0
@@ -354,15 +354,15 @@ def _plan(ns: list[int], moduli: tuple[int, ...], k: int,
         # is |n * q - p * whole|, so delta = n - p * whole / q is that over q.
         # Keep the one with the fewest points, about q + |n * q - p * whole|.
         # The first, 0 / 1 (n < whole), has n itself for its remainder.
-        fewest, best, error = n + 1, 1, n
+        best, error = 1, n
         num, den, before, q = whole, n, 0, 1
         while den:
             t, rest = divmod(num, den)
             before, q = q, t * q + before
             if q > most:
                 break
-            if q + rest < fewest:
-                fewest, best, error = q + rest, q, rest
+            if q + rest < best + error:
+                best, error = q, rest
             if rest < q:
                 break  # |delta| < 1: every later convergent has more points
             num, den = den, rest
@@ -370,17 +370,15 @@ def _plan(ns: list[int], moduli: tuple[int, ...], k: int,
         width = max(width, error // best + 1)
         if common > most:
             break
-    # D_a is the least of periods[a], quotients and the grid's points.  A
-    # table's entries never exceed _ENTRIES_PER_LEAF * P_c, so that bound
-    # never shrinks it and is left out there.
     quotients = (size + 1) * (isqrt(top) + 1)
-    while c and (min(periods[c], top + 1) > _ENTRIES_PER_LEAF
-                 * min(quotients, common * (width // moduli[c] + 1) + size)):
+
+    def residues(a):  # D_a
+        return min(periods[a], quotients, common * (width // moduli[a] + 1) + size)
+
+    while c and min(periods[c], top + 1) > _ENTRIES_PER_LEAF * residues(c):
         c -= 1
     for a in range(c + 1, k):
-        visits = (size << (k - a)) * (a - c)
-        if (quotients < visits or periods[a] < visits
-                or common * (width // moduli[a] + 1) + size < visits):
+        if residues(a) < (size << (k - a)) * (a - c):
             memo[a] = {}
     return c, memo
 
@@ -488,10 +486,10 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
     repeat with period P_k, so each n >= P_k is first reduced modulo P_k
     (until max(ns) < P_k for the k of the residues): the plan and the walk
     below see only residues.  ``_plan`` then sizes the survivor table and
-    picks the levels that keep a memo, both from one estimate of each
-    level's distinct residues.  Every table size from 0 (an empty table)
-    up to the ceiling, P_c <= _TABLE_LIMIT, and every choice of memo
-    levels give the same counts; only the work differs.  One memo serves
+    picks the levels that keep a memo, both from D_a, one bound on the
+    distinct residues of each level a.  Every table size from 0 (an empty
+    table) up to the ceiling, P_c <= _TABLE_LIMIT, and every choice of
+    memo levels give the same counts; only the work differs.  One memo serves
     every n, so boundaries that share residues, such as those of one
     subdivision, share the nodes below them.
     """
@@ -518,7 +516,7 @@ def _floor_counts(moduli: tuple[int, ...], ns: list[int]) -> list[int]:
         whole = periods[k]
     moduli = moduli[:k]  # the rest strike nothing
     periods += [top + 1] * (k + 1 - len(periods))
-    c, memo = _plan(ns, moduli, k, periods, whole)
+    c, memo = _plan(ns, moduli, periods, whole)
     flags = survivor_flags(moduli[:c], 0, min(periods[c] - 1, top))
     flags[0] = 0  # cum[r] counts survivors in 1..r, for r <= top
     counts = _phi(ns, moduli, c, periods, survivors, array("I", accumulate(flags)), memo)
@@ -539,14 +537,14 @@ def count_meissel(basis: CoprimeBasis, x) -> CountResult:
     by the integer kernel (see ``_phi``): a survivor table resolves the
     smallest moduli, each peel skips straight past the moduli above its
     argument, and each level where residues repeat reduces by its own
-    period and remembers the residues; one estimate of each level's
+    period and remembers the residues; one bound D_a on each level's
     distinct residues plans both (see ``_plan``).  Near a rational point
     u * P / v + delta of the period the cost is polynomial, about
-    k * v * (|delta| + 1) nodes for k moduli (25 primes at P // 3 take
-    about 0.2 ms, 1000 primes about 15 ms); at a random x near the
-    period no residue repeats, no level keeps a memo, and the walk has the
-    peel's 2^(k - c) leaves, c being the moduli in the table (22 primes
-    about 60 ms, and each further prime doubles that).
+    k * v * (|delta| + 1) nodes for k moduli (on a 2-core x86-64 host,
+    CPython 3.11: 25 primes at P // 3 about 0.2 ms, 1000 primes 15 ms); at
+    a random x near the period no residue repeats, no level keeps a memo,
+    and the walk has the peel's 2^(k - c) leaves, c being the moduli in the
+    table (22 primes about 30 ms, and each further prime doubles that).
     """
     return _kernel_count(basis, x, METHOD_MEISSEL)
 

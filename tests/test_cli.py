@@ -611,6 +611,50 @@ def test_out_of_memory_names_only_the_caps_accepted(name, argv, stderr,
     assert capsys.readouterr().err == stderr
 
 
+# Runs the CLI with the rest of its arguments, with one internal result
+# made wrong: every roll yields one residue too many, or, for ``cycles``,
+# the third boundary is counted one too high.
+_ONE_WRONG_RESULT = """
+import sys
+from unittest.mock import patch
+from sievecycles import basis, cli, counting, cycles
+
+def extra_residue(*args):
+    yield from roll(*args)
+    yield iter((0,))
+
+def third_high(moduli, ns):
+    counts = counting._floor_counts(moduli, ns)
+    counts[2] += 1
+    return counts
+
+roll = basis._roll
+if sys.argv[1] == "cycles":
+    wrong = patch.object(cycles, "_floor_counts", third_high)
+else:
+    wrong = patch.object(basis, "_roll", extra_residue)
+with wrong:
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+@pytest.mark.parametrize("argv, message", [
+    (("wheel", "--n", "4"), "a roll made 61 residues, not the 48 the product "
+                            "formula requires"),
+    (("twins", "--n", "4", "--enumerate"), "a roll made 22 residues, not the 15 "
+                                           "the product formula requires"),
+    (("cycles", "--n", "4", "--chosen", "7"),
+     "interval 3 of modulus 7 holds 9 survivors, not 8"),
+], ids=["wheel", "twins", "cycles"])
+def test_a_failed_internal_check_exits_3_in_one_line(flags, argv, message):
+    done = subprocess.run([sys.executable, *flags, "-c", _ONE_WRONG_RESULT, *argv],
+                          env=cli_process_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"verification failure: {message}\n"
+
+
 # Each writes far more than a pipe holds, so it is still writing when the
 # reader goes away.
 @pytest.mark.parametrize("argv", [
