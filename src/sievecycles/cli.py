@@ -190,30 +190,30 @@ def _record(query: dict, basis: CoprimeBasis, fields: dict, *, result=None,
 def _render(report: Report, args, out) -> int:
     """Write ``report`` in the requested format; return its exit code."""
     fmt = "json" if args.json else args.format
-    if fmt == "json":
-        head = {"query": report.query, "basis": report.moduli, "method": report.method}
-        if isinstance(report.result, Iterator):
-            out.write("{\n" + "".join(f'  "{key}": {json.dumps(value)},\n'
-                                      for key, value in head.items()) + '  "result": [')
-            for i, item in enumerate(report.result):
-                out.write((", " if i else "") + json.dumps(item))
-            out.write("]\n}\n")
-        else:
-            # the indented encoder is pure Python either way; writing its
-            # chunks in batches keeps a large wheel from becoming one string
-            doc = {**head, "result": report.result}
-            chunks = json.JSONEncoder(indent=2).iterencode(doc)
-            while text := "".join(islice(chunks, 4096)):
-                out.write(text)
-            out.write("\n")
-    elif fmt == "csv":
+    if fmt == "csv":
         writer = csv.writer(out)
         if not args.no_header:
             writer.writerow(report.header)
         writer.writerows([_cell(value) for value in row] for row in report.rows)
+        return report.code
+    if fmt == "plain":
+        pieces = (line + "\n" for line in report.lines)
     else:
-        for line in report.lines:
-            out.write(line + "\n")
+        head = {"query": report.query, "basis": report.moduli, "method": report.method}
+        if isinstance(report.result, Iterator):
+            items = map(json.dumps, report.result)
+            pieces = chain(["{\n"], (f'  "{key}": {json.dumps(value)},\n'
+                                     for key, value in head.items()),
+                           ['  "result": ['], islice(items, 1),
+                           (", " + item for item in items), ["]\n}\n"])
+        else:
+            doc = {**head, "result": report.result}
+            pieces = chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
+    # one write per 64 pieces: a large wheel or a long window is neither
+    # held as one string nor written a line at a time, and a batch adds
+    # nothing measurable to the peak memory of a long listing
+    while text := "".join(islice(pieces, 64)):
+        out.write(text)
     return report.code
 
 

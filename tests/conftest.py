@@ -3,10 +3,13 @@
 Everything here recomputes from first principles (literal trial division,
 full scans, one recursive call per inclusion-exclusion term) so library
 results are checked against a second route, not against themselves.
+``child_env`` alone reads the library: the environment a child interpreter
+needs to import the same package as the tests.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import floor, prod
 
@@ -64,3 +67,14 @@ def oracle_centers(moduli, a: int, b: int) -> list[int]:
     return [x for x in range(1, period + 1)
             if oracle_survives(moduli, (x - a) % period)
             and oracle_survives(moduli, (x + b) % period)]
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter: it imports the same
+    ``sievecycles`` as these tests, under Python's default digit limit."""
+    import sievecycles
+    src = os.path.dirname(os.path.dirname(sievecycles.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    return env

@@ -1,14 +1,12 @@
 import io
 import json
-import os
 import subprocess
 import sys
 import time
 from math import prod
-from pathlib import Path
 
 import pytest
-from conftest import oracle_survives
+from conftest import child_env, oracle_survives
 
 from sievecycles import cli, make_prime_basis, verify
 from sievecycles.verify import CheckResult
@@ -217,12 +215,41 @@ class TestWheelAndList:
         assert run_cli("list", "--from-wheel", str(path), "--lo", "0",
                        "--hi", "1000") == (0, direct)
 
-    def test_list_json_streams_valid_document(self):
-        code, text = run_cli("list", "--n", "3", "--lo", "1", "--hi", "30",
+    # Output is written in batches of pieces: 5,760 residues or 10,666
+    # survivors cross many batch edges, and an empty window streams no
+    # item at all.
+    def test_wheel_beyond_one_batch(self):
+        primes = [2, 3, 5, 7, 11, 13]
+        period = prod(primes)
+        residues = [r for r in range(period) if oracle_survives(primes, r)]
+        assert len(residues) == 5760
+        assert run_cli("wheel", "--n", "6") == (0, "".join(
+            f"{line}\n" for line in [f"period: {period}", f"count: {len(residues)}",
+                                     "residues:", *residues]))
+        doc = {"query": {"command": "wheel"}, "basis": primes, "method": None,
+               "result": {"period": period, "count": len(residues),
+                          "residues": residues}}
+        assert run_cli("wheel", "--n", "6", "--json") == (
+            0, json.dumps(doc, indent=2) + "\n")
+
+    def test_list_plain_beyond_one_batch(self):
+        survivors = [x for x in range(40001) if oracle_survives([2, 3, 5], x)]
+        assert len(survivors) == 10666
+        assert run_cli("list", "--n", "3", "--lo", "0", "--hi", "40000") == (
+            0, "".join(f"{x}\n" for x in survivors))
+
+    @pytest.mark.parametrize("lo, hi", [(1, 30), (0, 40000), (2, 4)])
+    def test_list_json_streams_valid_document(self, lo, hi):
+        code, text = run_cli("list", "--n", "3", "--lo", str(lo), "--hi", str(hi),
                              "--json")
-        doc = json.loads(text)
-        assert doc["result"] == [1, 7, 11, 13, 17, 19, 23, 29]
-        assert doc["basis"] == [2, 3, 5]
+        survivors = [x for x in range(lo, hi + 1) if oracle_survives([2, 3, 5], x)]
+        head = {"query": {"command": "list", "lo": lo, "hi": hi},
+                "basis": [2, 3, 5], "method": None}
+        # one line per head field, then the survivors on one line
+        assert (code, text) == (0, "{\n" + "".join(
+            f'  "{key}": {json.dumps(value)},\n' for key, value in head.items())
+            + f'  "result": {json.dumps(survivors)}\n}}\n')
+        assert json.loads(text) == {**head, "result": survivors}
 
     @pytest.mark.parametrize("fmt", [("--format", "plain"), ("--format", "csv"),
                                      ("--format", "json"), ("--json",)])
@@ -524,20 +551,10 @@ class TestWheelRefusedBeforeItsBasis:
         assert code == 0 and text.startswith("predicted: ")
 
 
-def cli_process_env():
-    """The environment of a fresh CLI process, under Python's default digit
-    limit."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    return env
-
-
 def run_cli_process(*argv):
     """The CLI in a fresh interpreter, under Python's default digit limit."""
     return subprocess.run([sys.executable, "-m", "sievecycles.cli", *argv],
-                          env=cli_process_env(), capture_output=True, text=True,
+                          env=child_env(), capture_output=True, text=True,
                           timeout=120)
 
 
@@ -555,7 +572,7 @@ def test_out_of_memory_is_a_capacity_error(command):
     # each command took 8 s; refused at once, well under one.
     start = time.monotonic()
     done = subprocess.run([sys.executable, "-m", "sievecycles.cli", *argv],
-                          env=cli_process_env(), capture_output=True, text=True,
+                          env=child_env(), capture_output=True, text=True,
                           timeout=60, preexec_fn=lambda: resource.setrlimit(
                               resource.RLIMIT_AS, (2 << 30, 2 << 30)))
     assert time.monotonic() - start < 5
@@ -585,7 +602,7 @@ def test_a_short_window_holds_no_period():
     # to list 18 survivors; the interpreter and import alone take 16-18.
     pytest.importorskip("resource")
     done = subprocess.run([sys.executable, "-c", _MAXRSS, "list", "--n", "8",
-                           "--lo", "1", "--hi", "100"], env=cli_process_env(),
+                           "--lo", "1", "--hi", "100"], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     code, maxrss = map(int, done.stdout.split())
     kib = maxrss // 1024 if sys.platform == "darwin" else maxrss
@@ -649,7 +666,7 @@ with wrong:
 ], ids=["wheel", "twins", "cycles"])
 def test_a_failed_internal_check_exits_3_in_one_line(flags, argv, message):
     done = subprocess.run([sys.executable, *flags, "-c", _ONE_WRONG_RESULT, *argv],
-                          env=cli_process_env(), capture_output=True, text=True,
+                          env=child_env(), capture_output=True, text=True,
                           timeout=60)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == f"verification failure: {message}\n"
@@ -665,7 +682,7 @@ def test_a_failed_internal_check_exits_3_in_one_line(flags, argv, message):
 ])
 def test_output_closed_early_exits_1_quietly(argv):
     proc = subprocess.Popen([sys.executable, "-m", "sievecycles.cli", *argv],
-                            env=cli_process_env(), stdout=subprocess.PIPE,
+                            env=child_env(), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     assert proc.stdout.read(16)
     proc.stdout.close()

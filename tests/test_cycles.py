@@ -1,11 +1,9 @@
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from conftest import oracle_count
+from conftest import child_env, oracle_count
 
 from sievecycles import (
     count_legendre,
@@ -87,11 +85,8 @@ with patch.object(cycles, "_floor_counts", third_high):
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
 def test_subdivision_catches_one_wrong_interval(flags):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, *flags, "-c", _THIRD_BOUNDARY_HIGH],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "interval 3 of modulus 7 holds 9 survivors, not 8\n"
 

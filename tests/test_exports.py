@@ -2,11 +2,11 @@
 module imported on first use."""
 
 import importlib
-import os
 import subprocess
 import sys
 
 import pytest
+from conftest import child_env
 
 import sievecycles
 
@@ -14,11 +14,8 @@ import sievecycles
 def test_import_alone_loads_no_submodule():
     code = ("import sys, sievecycles; "
             "print(sorted(m for m in sys.modules if m.startswith('sievecycles.')))")
-    # the fresh interpreter finds the same package as this one
-    src = os.path.dirname(os.path.dirname(sievecycles.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
+                         text=True, check=True, env=child_env()).stdout
     assert out == "[]\n"
 
 

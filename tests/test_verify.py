@@ -1,9 +1,8 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from sievecycles import run_checks
 from sievecycles.verify import CHECKS
@@ -154,11 +153,8 @@ for family, module, name, fault in faults:
 @pytest.mark.parametrize("flags, optimize", [((), 0), (("-O",), 1)],
                          ids=["python", "python-O"])
 def test_checks_catch_injected_fault(flags, optimize):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, *flags, "-c", _INJECTED_FAULTS],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         f"optimize {optimize}",
